@@ -20,38 +20,33 @@ during recovery itself — mechanically testable:
 * :func:`minimize_failure` / :func:`repro_snippet` shrink any failure to
   the earliest, simplest crash point and print a self-contained replay.
 
+All of them are adapters over the crash-exploration kernel,
+:mod:`repro.sweep`, whose :class:`Failure` / :class:`Report` they return.
+
 Entry points: ``repro check`` (CLI), the ``assert_engine_crash_consistent``
 pytest fixture (:mod:`repro.check.pytest_plugin`), or the classes below.
 See ``docs/CHECKING.md`` for the state-space model and oracle contract.
 """
 
+from ..serve.explorer import ServeCrashExplorer, ServeScenario
+from ..sweep import Failure, Report
 from .chain import (
     COORDINATOR_CRASH,
     FAIL_STOP,
     QUICK_REBOOT,
     ChainCrashExplorer,
-    ChainFailure,
-    ChainReport,
     ChainScenario,
     MigrationCrashExplorer,
     MigrationScenario,
 )
 from .explorer import (
-    CheckFailure,
     CrashExplorer,
-    ExplorationReport,
     Scenario,
     replay_scenario,
     sweep_registry,
 )
 from .minimize import minimize_failure, repro_snippet
 from .oracle import Ledger, OracleViolation, check_against_ledger
-from ..serve.explorer import (
-    ServeCrashExplorer,
-    ServeFailure,
-    ServeReport,
-    ServeScenario,
-)
 from .workload import (
     CANNED_WORKLOADS,
     CheckWorkload,
@@ -67,14 +62,12 @@ __all__ = [
     "COORDINATOR_CRASH",
     "FAIL_STOP",
     "QUICK_REBOOT",
+    "Report",
     "ChainCrashExplorer",
-    "ChainFailure",
-    "ChainReport",
     "ChainScenario",
-    "CheckFailure",
     "CheckWorkload",
     "CrashExplorer",
-    "ExplorationReport",
+    "Failure",
     "KVWorkload",
     "Ledger",
     "ListWorkload",
@@ -85,8 +78,6 @@ __all__ = [
     "RingWorkload",
     "Scenario",
     "ServeCrashExplorer",
-    "ServeFailure",
-    "ServeReport",
     "ServeScenario",
     "build_stack",
     "check_against_ledger",

@@ -17,8 +17,9 @@ standalone heap explorer.  Two complementary sweeps:
   a RUNNING intent-log slot; quick reboot must then repair exactly the
   logged ranges from the predecessor (Figure 9, case 1).
 
-After an intervention the driver **pumps** the chain: each surviving
-replica re-forwards its in-flight window to its successor (the protocol
+After an intervention the driver **settles** the chain
+(:func:`repro.replication.recovery.settle`): each surviving replica
+re-forwards its in-flight window to its successor (the protocol
 messages are idempotent — ``applied_seq`` filters replays), modelling
 the timeout-driven retransmission a deployment would run, then drains
 the simulator.  The oracle then demands:
@@ -33,14 +34,22 @@ the simulator.  The oracle then demands:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import DeviceCrashedError, ReplicationError
+from ..errors import ReplicationError
 from ..nvm.device import CrashPolicy
 from ..replication.chain import KAMINO, ChainCluster
 from ..replication.recovery import fail_stop, quick_reboot, settle
-from .explorer import OP_BUDGET, _sample_points
+from ..sweep import (
+    Failure,
+    Report,
+    Verdict,
+    count_ops,
+    crash_during,
+    sample_points,
+    sweep,
+)
 
 QUICK_REBOOT = "quick_reboot"
 FAIL_STOP = "fail_stop"
@@ -76,30 +85,6 @@ class ChainScenario:
         if self.double_reboot:
             parts.append("double_reboot")
         return ", ".join(parts)
-
-
-@dataclass
-class ChainFailure:
-    scenario: ChainScenario
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.scenario.describe()}: {self.message}"
-
-
-@dataclass
-class ChainReport:
-    mode: str
-    states_explored: int = 0
-    failures: List[ChainFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        return f"{'chain-' + self.mode:>16} x kv     explored={self.states_explored:<5} {status}"
 
 
 class ChainCrashExplorer:
@@ -140,28 +125,14 @@ class ChainCrashExplorer:
         cluster.run()
         return cluster.sim.processed
 
+    def points(self) -> Tuple[int, int]:
+        """The event boundaries to intervene at: after 0 .. all events."""
+        return 0, self.count_events()
+
     def count_device_ops(self, replica: int) -> int:
         """Mutating NVM ops the replica performs while the chain runs."""
         cluster, _expected = self._build()
-        device = cluster.chain[replica].device
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        cluster.drain()
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        if remaining is None:
-            raise RuntimeError("chain run exceeded the fail-point budget")
-        return OP_BUDGET - remaining
-
-    # -- retransmission ------------------------------------------------------
-
-    @staticmethod
-    def pump(cluster: ChainCluster, rounds: int = 6) -> None:
-        """Re-forward stalled in-flight windows until the chain is quiet.
-
-        Delegates to :func:`repro.replication.recovery.settle`, the
-        retransmission driver shared with the nemesis runner.
-        """
-        settle(cluster, rounds=rounds)
+        return count_ops(cluster.chain[replica].device, cluster.drain)
 
     # -- judging -------------------------------------------------------------
 
@@ -172,48 +143,45 @@ class ChainCrashExplorer:
         expected: Dict[int, bytes],
         acked_before: List[int],
         baseline: Dict[int, bytes],
-    ) -> Optional[ChainFailure]:
+    ) -> Optional[str]:
         try:
             cluster.assert_replicas_consistent()
         except AssertionError as exc:
-            return ChainFailure(scenario, f"replica divergence: {exc}")
+            return f"replica divergence: {exc}"
         state = cluster.kv_states()[0]
         if scenario.intervention == QUICK_REBOOT:
             if state != baseline:
                 missing = sorted(set(baseline) - set(state))
-                return ChainFailure(
-                    scenario,
-                    f"quick reboot lost committed work (missing keys {missing[:10]})",
-                )
+                return f"quick reboot lost committed work (missing keys {missing[:10]})"
             return None
         # fail-stop: anything acked to the client must survive the view change
         for seq in acked_before:
             key = seq - 1
             if state.get(key) != expected[seq]:
-                return ChainFailure(
-                    scenario,
-                    f"acked write seq={seq} (key {key}) lost across fail-stop",
-                )
+                return f"acked write seq={seq} (key {key}) lost across fail-stop"
         return None
 
     # -- one scenario --------------------------------------------------------
 
-    def replay(self, scenario: ChainScenario) -> Optional[ChainFailure]:
+    def trial(self, scenario: ChainScenario) -> Optional[Verdict]:
+        """Run one intervention and judge the chain; ``None`` if a device
+        fail point lies beyond the run (nothing to check)."""
         cluster, expected = self._build()
-        baseline = self.baseline() if scenario.intervention == QUICK_REBOOT else {}
         if scenario.device_crash_after is not None:
             node = cluster.chain[scenario.replica]
-            node.device.schedule_crash(
-                scenario.device_crash_after, scenario.policy, scenario.survival
-            )
-            try:
-                cluster.drain()
-                node.device.cancel_scheduled_crash()
-                return None  # fail-point beyond the run: nothing to check
-            except DeviceCrashedError:
-                pass
+            if not crash_during(node.device, cluster.drain,
+                                scenario.device_crash_after, scenario.policy,
+                                scenario.survival):
+                return None
         else:
             cluster.sim.run(max_events=scenario.after_events)
+        problem = self._intervene(cluster, scenario, expected)
+        return Verdict(Failure(scenario, (problem,)) if problem else None)
+
+    def _intervene(self, cluster: ChainCluster, scenario: ChainScenario,
+                   expected: Dict[int, bytes]) -> Optional[str]:
+        """Repair, settle and judge; the first problem found, if any."""
+        baseline = self.baseline() if scenario.intervention == QUICK_REBOOT else {}
         acked_before = sorted(cluster._tail_acked)
         try:
             if scenario.intervention == QUICK_REBOOT:
@@ -229,16 +197,16 @@ class ChainCrashExplorer:
             else:
                 fail_stop(cluster, scenario.replica)
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"repair raised {type(exc).__name__}: {exc}"
-            )
+            return f"repair raised {type(exc).__name__}: {exc}"
         try:
-            self.pump(cluster)
+            settle(cluster)  # the timeout-driven retransmission
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"post-repair drain raised {type(exc).__name__}: {exc}"
-            )
+            return f"post-repair drain raised {type(exc).__name__}: {exc}"
         return self._judge(cluster, scenario, expected, acked_before, baseline)
+
+    def replay(self, scenario: ChainScenario) -> Optional[Failure]:
+        verdict = self.trial(scenario)
+        return verdict and verdict.failure
 
     # -- the sweep -----------------------------------------------------------
 
@@ -251,43 +219,30 @@ class ChainCrashExplorer:
         max_device_points: Optional[int] = 6,
         double_reboot: bool = True,
         workers: int = 0,
-    ) -> ChainReport:
+    ) -> Report:
         """Sweep interventions at every event boundary (sampled by
         ``max_points``) for every replica, plus device-op crash points on
         one mid replica.  ``workers`` fans the scenario replays over a
         process pool; the ordered fold keeps the report byte-identical
         for any worker count."""
-        report = ChainReport(mode=self.mode)
-        n_events = self.count_events()
+        first, last = self.points()
+        report = Report(f"chain-{self.mode}", "kv", n_ops=last - first + 1)
         n_replicas = len(self._build()[0].chain)
         if replicas is None:
             replicas = list(range(n_replicas))
         scenarios: List[ChainScenario] = []
-        for k in _sample_points(0, n_events, max_points):
+        for k in sample_points(first, last, max_points):
             for idx in replicas:
                 for intervention in interventions:
-                    scenarios.append(
-                        ChainScenario(
-                            mode=self.mode,
-                            intervention=intervention,
-                            replica=idx,
-                            after_events=k,
-                        )
-                    )
+                    base = ChainScenario(mode=self.mode, intervention=intervention,
+                                         replica=idx, after_events=k)
+                    scenarios.append(base)
                     if intervention == QUICK_REBOOT and double_reboot:
-                        scenarios.append(
-                            ChainScenario(
-                                mode=self.mode,
-                                intervention=QUICK_REBOOT,
-                                replica=idx,
-                                after_events=k,
-                                double_reboot=True,
-                            )
-                        )
+                        scenarios.append(replace(base, double_reboot=True))
         if device_crashes and n_replicas > 2:
             mid = 1  # first non-head replica: in-place + intent log
             n_ops = self.count_device_ops(mid)
-            for p in _sample_points(0, n_ops - 1, max_device_points):
+            for p in sample_points(0, n_ops - 1, max_device_points):
                 scenarios.append(
                     ChainScenario(
                         mode=self.mode,
@@ -296,37 +251,9 @@ class ChainCrashExplorer:
                         device_crash_after=p,
                     )
                 )
-        for failure in self._replay_many(scenarios, workers):
-            report.states_explored += 1
-            if failure is not None:
-                report.failures.append(failure)
+        self.baseline()  # cached before the fan-out pickles the explorer
+        sweep(report, self, scenarios, workers)
         return report
-
-    def _replay_many(
-        self, scenarios: List[ChainScenario], workers: int
-    ) -> List[Optional[ChainFailure]]:
-        if workers and workers != 1 and len(scenarios) > 1:
-            from ..parallel import fan_out
-
-            baseline = self.baseline()
-            jobs = [
-                (self.mode, self.f, self.n_writes, baseline, scenario)
-                for scenario in scenarios
-            ]
-            return fan_out(_chain_replay_job, jobs, workers)
-        return [self.replay(scenario) for scenario in scenarios]
-
-
-def _chain_replay_job(job) -> Optional[ChainFailure]:
-    """One chain scenario in a worker process (module-level: pickles).
-
-    The undisturbed baseline is computed once in the parent and shipped
-    with the job, mirroring the serial explorer's cache.
-    """
-    mode, f, n_writes, baseline, scenario = job
-    explorer = ChainCrashExplorer(mode=mode, f=f, n_writes=n_writes)
-    explorer._baseline = baseline
-    return explorer.replay(scenario)
 
 
 @dataclass(frozen=True)
@@ -425,11 +352,13 @@ class MigrationCrashExplorer:
         cluster.drain()
         return cluster.sim.processed - before
 
+    def points(self) -> Tuple[int, int]:
+        """The migration window's event boundaries: after 0 .. all."""
+        return 0, self.count_events()
+
     # -- one scenario --------------------------------------------------------
 
-    def replay(self, scenario: MigrationScenario) -> Optional[ChainFailure]:
-        cluster, acked = self._build()
-        cluster.sim.run(max_events=scenario.after_events)
+    def _intervene(self, cluster, scenario: MigrationScenario) -> Optional[str]:
         try:
             if scenario.intervention == COORDINATOR_CRASH:
                 cluster.crash_coordinator()
@@ -440,9 +369,7 @@ class MigrationCrashExplorer:
             else:
                 quick_reboot(cluster.groups[scenario.group], scenario.replica)
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"intervention raised {type(exc).__name__}: {exc}"
-            )
+            return f"intervention raised {type(exc).__name__}: {exc}"
         try:
             for group in cluster.groups:
                 settle(group)
@@ -451,41 +378,40 @@ class MigrationCrashExplorer:
                 settle(group)
             cluster.drain()
         except Exception as exc:
-            return ChainFailure(
-                scenario, f"post-crash drain raised {type(exc).__name__}: {exc}"
-            )
-        return self._judge(cluster, scenario, acked)
+            return f"post-crash drain raised {type(exc).__name__}: {exc}"
+        return None
+
+    def trial(self, scenario: MigrationScenario) -> Verdict:
+        cluster, acked = self._build()
+        cluster.sim.run(max_events=scenario.after_events)
+        problem = self._intervene(cluster, scenario) or self._judge(cluster, acked)
+        return Verdict(Failure(scenario, (problem,)) if problem else None)
+
+    def replay(self, scenario: MigrationScenario) -> Optional[Failure]:
+        return self.trial(scenario).failure
 
     # -- judging -------------------------------------------------------------
 
-    def _judge(self, cluster, scenario: MigrationScenario,
-               acked: Dict[int, bytes]) -> Optional[ChainFailure]:
+    def _judge(self, cluster, acked: Dict[int, bytes]) -> Optional[str]:
         try:
             cluster.assert_replicas_consistent()
         except AssertionError as exc:
-            return ChainFailure(scenario, f"replica divergence: {exc}")
+            return f"replica divergence: {exc}"
         if cluster.active_migrations:
-            return ChainFailure(
-                scenario,
+            return (
                 f"migration wedged (shards {cluster.active_migrations} never "
-                "terminated)",
+                "terminated)"
             )
         if cluster.migration_failures:
-            return ChainFailure(
-                scenario,
-                "migration aborted: " + "; ".join(cluster.migration_failures),
-            )
+            return "migration aborted: " + "; ".join(cluster.migration_failures)
         try:
             cluster.assert_placement_respected()
         except AssertionError as exc:
-            return ChainFailure(scenario, f"placement violated: {exc}")
+            return f"placement violated: {exc}"
         merged = cluster.merged_tail_state()
         for key in sorted(acked):
             if merged.get(key) != acked[key]:
-                return ChainFailure(
-                    scenario,
-                    f"acked write to key {key} lost across the migration crash",
-                )
+                return f"acked write to key {key} lost across the migration crash"
         return None
 
     # -- the sweep -----------------------------------------------------------
@@ -496,64 +422,27 @@ class MigrationCrashExplorer:
         double: bool = True,
         reboots: bool = True,
         workers: int = 0,
-    ) -> ChainReport:
+    ) -> Report:
         """Sweep coordinator crashes (and optionally per-group replica
         quick reboots) at every event boundary of the migration window,
         sampled down by ``max_points``.  ``workers`` fans the replays
         over a process pool with an ordered, byte-identical fold."""
-        report = ChainReport(mode=f"{self.mode}-migration")
-        n_events = self.count_events()
+        first, last = self.points()
+        report = Report(f"chain-{self.mode}-migration", "kv", n_ops=last - first + 1)
         scenarios: List[MigrationScenario] = []
-        for k in _sample_points(0, n_events, max_points):
-            scenarios.append(MigrationScenario(mode=self.mode, after_events=k))
+        for k in sample_points(first, last, max_points):
+            base = MigrationScenario(mode=self.mode, after_events=k)
+            scenarios.append(base)
             if double:
-                scenarios.append(
-                    MigrationScenario(mode=self.mode, after_events=k,
-                                      double=True)
-                )
+                scenarios.append(replace(base, double=True))
             if reboots:
                 # the heads carry the copy traffic on both sides
-                scenarios.append(
-                    MigrationScenario(mode=self.mode, intervention=QUICK_REBOOT,
-                                      group=0, replica=0, after_events=k)
-                )
-                scenarios.append(
-                    MigrationScenario(mode=self.mode, intervention=QUICK_REBOOT,
-                                      group=1, replica=0, after_events=k)
-                )
-        results: List[Optional[ChainFailure]]
-        if workers and workers != 1 and len(scenarios) > 1:
-            from ..parallel import fan_out
-
-            jobs = [
-                (self.mode, self.f, self.n_keys, self.shards_per_group, scenario)
-                for scenario in scenarios
-            ]
-            results = fan_out(_migration_replay_job, jobs, workers)
-        else:
-            results = [self.replay(scenario) for scenario in scenarios]
-        for failure in results:
-            report.states_explored += 1
-            if failure is not None:
-                report.failures.append(failure)
+                scenarios += [
+                    replace(base, intervention=QUICK_REBOOT, group=group)
+                    for group in (0, 1)
+                ]
+        sweep(report, self, scenarios, workers)
         return report
-
-
-def _migration_replay_job(job) -> Optional[ChainFailure]:
-    """One migration-window scenario in a worker process."""
-    mode, f, n_keys, shards_per_group, scenario = job
-    explorer = MigrationCrashExplorer(
-        mode=mode, f=f, n_keys=n_keys, shards_per_group=shards_per_group
-    )
-    return explorer.replay(scenario)
-
-
-def _nemesis_job(job):
-    """One (scenario, seed) nemesis run in a worker process."""
-    scenario, seed, mode, f = job
-    from ..faults import run_scenario
-
-    return scenario.name, seed, run_scenario(scenario, seed=seed, mode=mode, f=f)
 
 
 def explore_nemesis(
@@ -562,37 +451,21 @@ def explore_nemesis(
     seeds: int = 5,
     f: int = 2,
     workers: int = 0,
-) -> ChainReport:
-    """Run the nemesis fault corpus and fold the verdicts into a
-    :class:`ChainReport`, so `repro check` surfaces both sweeps with one
-    summary format.  ``scenarios=None`` runs the full built-in corpus.
-    ``workers`` fans the seeded runs over a process pool; every run is
+) -> Report:
+    """Run the nemesis fault corpus and fold the verdicts into a kernel
+    :class:`~repro.sweep.Report`, so `repro check` surfaces both sweeps
+    with one summary format; each failure names its own scenario and
+    seed.  ``scenarios=None`` runs the full built-in corpus.  ``workers``
+    fans the seeded runs over a process pool; every run is
     seed-deterministic, so the folded report does not depend on the
     worker count."""
     # local import: repro.faults pulls in the replication stack, and the
     # checker must stay importable without it
-    from ..faults import CORPUS, run_scenario
+    from ..faults import run_corpus
 
-    chosen = list(scenarios if scenarios is not None else CORPUS)
-    report = ChainReport(mode=f"{mode}-nemesis")
-    jobs = [(scenario, seed, mode, f) for scenario in chosen for seed in range(seeds)]
-    if workers and workers != 1 and len(jobs) > 1:
-        from ..parallel import fan_out
-
-        results = fan_out(_nemesis_job, jobs, workers)
-    else:
-        results = [
-            (scenario.name, seed, run_scenario(scenario, seed=seed, mode=mode, f=f))
-            for scenario, seed, _m, _f in jobs
-        ]
-    for name, seed, result in results:
-        report.states_explored += 1
-        if not result.ok:
-            report.failures.append(
-                ChainFailure(
-                    ChainScenario(mode=mode),
-                    f"nemesis {name} seed={seed}: "
-                    + "; ".join(result.problems),
-                )
-            )
+    report = Report(f"chain-{mode}-nemesis", "kv")
+    for run, result in run_corpus(scenarios, seeds=seeds, mode=mode, f=f,
+                                  workers=workers):
+        failure = Failure(run, tuple(result.problems)) if result.problems else None
+        report.add(Verdict(failure))
     return report

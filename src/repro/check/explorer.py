@@ -58,11 +58,11 @@ passes: root-verified repair from a surviving copy, or a typed degrade.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
-    DeviceCrashedError,
     MediaError,
     PoolCorruptionError,
     RecoveryError,
@@ -70,12 +70,19 @@ from ..errors import (
 from ..nvm.device import CrashPolicy, NVMDevice
 from ..nvm.latency import CACHE_LINE
 from ..runtime.registry import EngineInfo, engine_info, registered_engines
+from ..sweep import (
+    Failure,
+    Report,
+    Verdict,
+    count_ops,
+    crash_during,
+    portable,
+    sample_points as _sample_points,
+    sweep,
+)
 from ..tx.recovery import reopen_after_crash, verify_backup_consistency
 from .oracle import Ledger, OracleViolation, check_against_ledger
 from .workload import CANNED_WORKLOADS, CheckWorkload, build_stack
-
-#: fail-point budget no sane canned workload exhausts
-OP_BUDGET = 1_000_000
 
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
@@ -112,79 +119,21 @@ class Scenario:
     #: matching stale CRCs, between the crash and recovery
     stale_lines: int = 0
 
-    def describe(self) -> str:
-        parts = [
-            f"engine={self.engine}",
-            f"workload={self.workload}",
-            f"crash_after={self.crash_after}",
-            f"policy={self.policy.value}",
+    def changed_fields(self) -> List[Tuple[str, Any]]:
+        """The identifying fields, then every field off its default — what
+        :meth:`describe` and :func:`~repro.check.repro_snippet` render."""
+        return [
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name in ("engine", "workload", "crash_after", "policy")
+            or getattr(self, f.name) != f.default
         ]
-        if self.policy is CrashPolicy.RANDOM:
-            parts.append(f"survival={self.survival}")
-            parts.append(f"device_seed={self.device_seed}")
-        if self.nested_after is not None:
-            parts.append(
-                f"nested_after={self.nested_after} ({self.nested_policy.value})"
-            )
-        if self.media != "off":
-            parts.append(
-                f"media={self.media} corrupt_lines={self.corrupt_lines} "
-                f"corrupt_seed={self.corrupt_seed}"
-            )
-            if self.tree != "off":
-                parts.append(f"tree={self.tree}")
-            if self.stale_lines:
-                parts.append(f"stale_lines={self.stale_lines}")
-        return ", ".join(parts)
 
-
-@dataclass
-class CheckFailure:
-    """A scenario whose recovered state an oracle rejected."""
-
-    scenario: Scenario
-    violation: OracleViolation
-
-    def __str__(self) -> str:
-        return f"{self.scenario.describe()}: {self.violation}"
-
-
-@dataclass
-class ExplorationReport:
-    """What one engine × workload sweep covered and found."""
-
-    engine: str
-    workload: str
-    n_ops: int = 0
-    states_explored: int = 0
-    states_pruned: int = 0
-    nested_explored: int = 0
-    failures: List[CheckFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        return (
-            f"{self.engine:>16} x {self.workload:<6} "
-            f"ops={self.n_ops:<4} explored={self.states_explored:<5} "
-            f"pruned={self.states_pruned:<5} nested={self.nested_explored:<5} {status}"
+    def describe(self) -> str:
+        return ", ".join(
+            f"{name}={getattr(value, 'value', value)}"
+            for name, value in self.changed_fields()
         )
-
-
-def _sample_points(lo: int, hi: int, limit: Optional[int]) -> List[int]:
-    """All integers lo..hi, or an evenly spaced sample hitting both ends."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    if limit is None or n <= limit:
-        return list(range(lo, hi + 1))
-    if limit == 1:
-        return [lo]
-    step = (n - 1) / (limit - 1)
-    return sorted({lo + round(i * step) for i in range(limit)})
 
 
 class CrashExplorer:
@@ -225,11 +174,12 @@ class CrashExplorer:
         self.workload_name = workload
         self._workload_factory = workload_factory
         self.device_seed = device_seed
-        # a worker process can only rebuild this explorer from names; a
-        # custom (closure) factory keeps the sweep in-process
-        self._portable = engine_factory is None and workload in CANNED_WORKLOADS and (
-            workload_factory is CANNED_WORKLOADS.get(workload)
-        )
+        self._ledger: Optional[Ledger] = None
+
+    @property
+    def _portable(self) -> bool:
+        """Whether replays can fan out (closure factories cannot)."""
+        return portable(self)
 
     # -- replay primitives ---------------------------------------------------
 
@@ -326,69 +276,75 @@ class CrashExplorer:
             rng=random.Random(scenario.corrupt_seed),
         )
 
+    @staticmethod
+    def _run_steps(heap: Any, workload: CheckWorkload, done: List[int]) -> None:
+        for i in range(workload.n_steps):
+            workload.step(heap, i)
+            done.append(i)
+        heap.drain()
+
+    def _recover(self, device: NVMDevice) -> None:
+        heap, _engine, _report = reopen_after_crash(device, self._engine_factory)
+        heap.drain()
+
     def count_ops(self) -> int:
         """Mutating device operations between end-of-setup and quiescence."""
         heap, _engine, device, workload = self._fresh(self.device_seed)
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        for i in range(workload.n_steps):
-            workload.step(heap, i)
-        heap.drain()
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        if remaining is None:
-            raise RuntimeError("workload exceeded the fail-point budget")
-        return OP_BUDGET - remaining
+        return count_ops(device, partial(self._run_steps, heap, workload, []))
+
+    def points(self) -> Tuple[int, int]:
+        """The crash-point span: one point per counted mutating op."""
+        return 0, self.count_ops() - 1
 
     def golden_ledger(self) -> Ledger:
-        """Uncrashed run recording the logical state after every step."""
-        heap, _engine, _device, workload = self._fresh(self.device_seed)
-        ledger = Ledger(workload=self.workload_name)
-        ledger.states.append(workload.observe(heap))
-        for i in range(workload.n_steps):
-            workload.step(heap, i)
+        """Uncrashed run recording the logical state after every step
+        (cached: it ships to worker processes with the explorer)."""
+        if self._ledger is None:
+            heap, _engine, _device, workload = self._fresh(self.device_seed)
+            ledger = Ledger(workload=self.workload_name)
             ledger.states.append(workload.observe(heap))
-        heap.drain()
-        return ledger
+            for i in range(workload.n_steps):
+                workload.step(heap, i)
+                ledger.states.append(workload.observe(heap))
+            heap.drain()
+            self._ledger = ledger
+        return self._ledger
 
     # -- one scenario --------------------------------------------------------
 
-    def replay(
-        self, scenario: Scenario, ledger: Optional[Ledger] = None
-    ) -> Tuple[Optional[CheckFailure], Optional[str]]:
-        """Run one scenario; returns (failure-or-None, crash fingerprint).
-
-        A ``None`` fingerprint means the fail-point never fired (the
-        point lies beyond the workload), in which case nothing was
-        checked.
-        """
-        if ledger is None:
-            ledger = self.golden_ledger()
+    def _crash(self, scenario: Scenario) -> Optional[Tuple[NVMDevice, CheckWorkload, int]]:
+        """Run the workload until ``scenario``'s fail point fires, then rot
+        the crashed image as the scenario asks.  Returns the crashed
+        device, the workload and the steps completed before the crash;
+        ``None`` if the point lies beyond the workload."""
         heap, _engine, device, workload = self._fresh(
             scenario.device_seed, media=scenario.media, tree=scenario.tree
         )
         snap = self._stale_snapshot(device, heap, scenario)
-        device.schedule_crash(
-            scenario.crash_after, scenario.policy, scenario.survival
-        )
-        steps_done = 0
-        crashed = False
-        try:
-            for i in range(workload.n_steps):
-                workload.step(heap, i)
-                steps_done += 1
-            heap.drain()
-        except DeviceCrashedError:
-            crashed = True
-        if not crashed:
-            device.cancel_scheduled_crash()
-            return None, None
-        fingerprint = device.last_crash_fingerprint
+        done: List[int] = []
+        run = partial(self._run_steps, heap, workload, done)
+        if not crash_during(device, run, scenario.crash_after, scenario.policy,
+                            scenario.survival):
+            return None
         self._inject_corruption(device, heap, scenario)
         self._inject_stale(device, scenario, snap)
+        return device, workload, len(done)
 
-        if scenario.nested_after is not None:
+    def trial(self, scenario: Scenario) -> Optional[Verdict]:
+        """Run one scenario and judge the recovered heap; ``None`` if the
+        fail point never fired (nothing was checked)."""
+        crashed = self._crash(scenario)
+        if crashed is None:
+            return None
+        device, workload, steps_done = crashed
+        nested = scenario.nested_after is not None
+        verdict = Verdict(fingerprint=device.last_crash_fingerprint, nested=nested)
+        if nested:
             try:
-                crashed_again = self._crash_inside_recovery(device, scenario)
+                crashed_again = crash_during(
+                    device, partial(self._recover, device), scenario.nested_after,
+                    scenario.nested_policy, scenario.survival,
+                )
             except (MediaError, PoolCorruptionError):
                 # the first recovery hit the rot and degraded with a typed
                 # error before the nested fail-point fired — detection, not
@@ -398,28 +354,22 @@ class CrashExplorer:
                 # the post-open scrub could mark the line.
                 device.cancel_scheduled_crash()
                 if scenario.media == "protected":
-                    return None, fingerprint
+                    return verdict
                 raise
             if not crashed_again:
-                return None, fingerprint
-
-        violation = self._judge(device, workload, ledger, steps_done, scenario.media)
+                return verdict
+            verdict = replace(verdict, crashes=2)
+        violation = self._judge(device, workload, self.golden_ledger(), steps_done,
+                                scenario.media)
         if violation is None:
-            return None, fingerprint
-        return CheckFailure(scenario=scenario, violation=violation), fingerprint
+            return verdict
+        return replace(verdict, failure=Failure(scenario, (str(violation),), violation))
 
-    def _crash_inside_recovery(self, device: NVMDevice, scenario: Scenario) -> bool:
-        """Arm the nested fail-point and run recovery until it fires."""
-        device.schedule_crash(
-            scenario.nested_after, scenario.nested_policy, scenario.survival
-        )
-        try:
-            heap, _engine, _report = reopen_after_crash(device, self._engine_factory)
-            heap.drain()
-        except DeviceCrashedError:
-            return True
-        device.cancel_scheduled_crash()
-        return False
+    def replay(self, scenario: Scenario) -> Tuple[Optional[Failure], Optional[str]]:
+        """Run one scenario; returns (failure-or-None, crash fingerprint),
+        with a ``None`` fingerprint when the fail point never fired."""
+        verdict = self.trial(scenario)
+        return (verdict.failure, verdict.fingerprint) if verdict else (None, None)
 
     def _judge(
         self,
@@ -524,63 +474,7 @@ class CrashExplorer:
                 )
         return None
 
-    # -- recovery op counting (for nested sweeps) ----------------------------
-
-    def _count_recovery_ops(self, image: NVMDevice) -> int:
-        device = image.clone_durable(seed=self.device_seed)
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        heap, _engine, _report = reopen_after_crash(device, self._engine_factory)
-        heap.drain()
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        if remaining is None:
-            raise RuntimeError("recovery exceeded the fail-point budget")
-        return OP_BUDGET - remaining
-
-    def _crash_image(self, scenario: Scenario) -> Optional[NVMDevice]:
-        """The durable post-crash device image for ``scenario``, if the
-        fail-point fires."""
-        heap, _engine, device, _workload = self._fresh(
-            scenario.device_seed, media=scenario.media, tree=scenario.tree
-        )
-        snap = self._stale_snapshot(device, heap, scenario)
-        device.schedule_crash(
-            scenario.crash_after, scenario.policy, scenario.survival
-        )
-        try:
-            wl = _workload
-            for i in range(wl.n_steps):
-                wl.step(heap, i)
-            heap.drain()
-        except DeviceCrashedError:
-            self._inject_corruption(device, heap, scenario)
-            self._inject_stale(device, scenario, snap)
-            return device.clone_durable(seed=self.device_seed)
-        device.cancel_scheduled_crash()
-        return None
-
     # -- the sweep -----------------------------------------------------------
-
-    def _replay_many(
-        self,
-        scenarios: Sequence[Scenario],
-        ledger: Ledger,
-        workers: int,
-    ) -> List[Tuple[Optional[CheckFailure], Optional[str]]]:
-        """Replay a batch of scenarios, optionally on a process pool.
-
-        Results come back in scenario order either way (see
-        :mod:`repro.parallel`), so the caller's fold — pruning, counter
-        updates, failure collection — is byte-identical for any worker
-        count.  Explorers built from closures (custom factories) cannot
-        cross a process boundary and fall back to the serial loop.
-        """
-        if workers and workers != 1 and len(scenarios) > 1 and self._portable:
-            from ..parallel import fan_out
-
-            jobs = [(scenario, ledger) for scenario in scenarios]
-            return fan_out(_replay_job, jobs, workers)
-        return [self.replay(scenario, ledger) for scenario in scenarios]
 
     def explore(
         self,
@@ -595,7 +489,7 @@ class CrashExplorer:
         tree: str = "off",
         stale_lines: int = 0,
         workers: int = 0,
-    ) -> ExplorationReport:
+    ) -> Report:
         """Sweep crash points; returns the coverage + failure report.
 
         Args:
@@ -622,17 +516,14 @@ class CrashExplorer:
                 the report is byte-identical for any worker count; only
                 wall-clock changes.
 
-        The sweep runs in three deterministic phases — base points,
-        RANDOM lotteries for the novel states, nested recovery crashes —
-        so the batches are wide enough to fan out.  Every phase folds
-        its ordered result list the same way serial exploration would.
+        The sweep runs in three deterministic phases — base points
+        (pruned by crash fingerprint), RANDOM lotteries for the novel
+        states, nested recovery crashes — so the batches are wide
+        enough to fan out.
         """
-        report = ExplorationReport(engine=self.engine_name, workload=self.workload_name)
-        report.n_ops = self.count_ops()
-        ledger = self.golden_ledger()
-        # crash_after=p fires just before mutating op p+1, so p ranges over
-        # 0 (nothing of the steps durable yet) .. n_ops-1 (all but the
-        # final operation done)
+        first, last = self.points()
+        report = Report(self.engine_name, self.workload_name, n_ops=last - first + 1)
+        self.golden_ledger()  # cached before the fan-out pickles the explorer
         bases = [
             Scenario(
                 engine=self.engine_name,
@@ -642,34 +533,13 @@ class CrashExplorer:
                 device_seed=self.device_seed,
                 media=media,
                 corrupt_lines=corrupt_lines if media != "off" else 0,
-                corrupt_seed=self.device_seed * 1000 + point,
+                corrupt_seed=(self.device_seed * 1000 + point) if media != "off" else 0,
                 tree=tree if media == "protected" else "off",
                 stale_lines=stale_lines if media != "off" else 0,
             )
-            for point in _sample_points(0, report.n_ops - 1, max_points)
+            for point in _sample_points(first, last, max_points)
         ]
-        seen: Dict[str, int] = {}
-        novel: List[Scenario] = []
-        for base, (failure, fingerprint) in zip(
-            bases, self._replay_many(bases, ledger, workers)
-        ):
-            if progress is not None:
-                progress(
-                    f"{self.engine_name}/{self.workload_name}: "
-                    f"point {base.crash_after}/{report.n_ops}"
-                )
-            if fingerprint is None:
-                continue
-            if fingerprint in seen:
-                # same durable bytes + same dirty overlay as an earlier
-                # point: every policy resolves it identically
-                report.states_pruned += 1
-                continue
-            seen[fingerprint] = base.crash_after
-            report.states_explored += 1
-            if failure is not None:
-                report.failures.append(failure)
-            novel.append(base)
+        novel = sweep(report, self, bases, workers, prune=True, progress=progress)
         lotteries = [
             replace(
                 base,
@@ -680,23 +550,14 @@ class CrashExplorer:
             for base in novel
             for sample in range(random_samples)
         ]
-        for failure, fired in self._replay_many(lotteries, ledger, workers):
-            if fired is not None:
-                report.states_explored += 1
-                if failure is not None:
-                    report.failures.append(failure)
+        sweep(report, self, lotteries, workers)
         if nested:
-            nested_scenarios: List[Scenario] = []
-            for base in novel:
-                nested_scenarios.extend(
-                    self._nested_scenarios(base, max_nested_points)
-                )
-            for failure, fired in self._replay_many(nested_scenarios, ledger, workers):
-                if fired is None:
-                    continue
-                report.nested_explored += 1
-                if failure is not None:
-                    report.failures.append(failure)
+            nested_scenarios = [
+                scenario
+                for base in novel
+                for scenario in self._nested_scenarios(base, max_nested_points)
+            ]
+            sweep(report, self, nested_scenarios, workers)
         return report
 
     def _nested_scenarios(
@@ -704,12 +565,14 @@ class CrashExplorer:
         base: Scenario,
         max_nested_points: Optional[int],
     ) -> List[Scenario]:
-        """The crash-during-recovery scenarios nested under ``base``."""
-        image = self._crash_image(base)
-        if image is None:
+        """The crash-during-recovery scenarios nested under ``base``: one
+        per sampled mutating op of recovery on its crash image."""
+        crashed = self._crash(base)
+        if crashed is None:
             return []
+        device = crashed[0].clone_durable(seed=self.device_seed)
         try:
-            n_recovery_ops = self._count_recovery_ops(image)
+            n_recovery_ops = count_ops(device, partial(self._recover, device))
         except (MediaError, PoolCorruptionError):
             # recovery on this image degrades with a typed error before
             # quiescing; there is no op timeline to nest crashes into
@@ -720,29 +583,11 @@ class CrashExplorer:
         ]
 
 
-def _replay_job(
-    job: Tuple[Scenario, Ledger]
-) -> Tuple[Optional[CheckFailure], Optional[str]]:
-    """One scenario replay in a worker process.
-
-    Module-level so it pickles; the explorer is rebuilt from the
-    scenario's registry names (engine, workload) — the same "restart
-    with the same binary" the recovery path already relies on.
-    """
-    scenario, ledger = job
-    explorer = CrashExplorer(
-        scenario.engine,
-        workload=scenario.workload,
-        device_seed=scenario.device_seed,
-    )
-    return explorer.replay(scenario, ledger)
-
-
 def replay_scenario(
     scenario: Scenario,
     workload_factory: Optional[Callable[[], CheckWorkload]] = None,
     engine_factory: Optional[Callable[[], Any]] = None,
-) -> Optional[CheckFailure]:
+) -> Optional[Failure]:
     """Re-run one scenario from scratch — the repro-snippet entry point."""
     explorer = CrashExplorer(
         scenario.engine,
@@ -751,8 +596,7 @@ def replay_scenario(
         engine_factory=engine_factory,
         device_seed=scenario.device_seed,
     )
-    failure, _fingerprint = explorer.replay(scenario)
-    return failure
+    return explorer.replay(scenario)[0]
 
 
 def sweep_registry(
@@ -761,7 +605,7 @@ def sweep_registry(
     progress: Optional[Callable[[str], None]] = None,
     workers: int = 0,
     **explore_kwargs: Any,
-) -> List[ExplorationReport]:
+) -> List[Report]:
     """Run the explorer over every standalone-recoverable registered engine.
 
     Engines declaring ``needs_chain_repair`` (the in-place chain replica)
@@ -771,7 +615,7 @@ def sweep_registry(
     fans each explorer's scenario replays over a process pool; the
     reports are byte-identical for any worker count.
     """
-    reports: List[ExplorationReport] = []
+    reports: List[Report] = []
     for name, info in registered_engines().items():
         if engines is not None and name not in engines:
             continue

@@ -45,7 +45,6 @@ class CheckBudget:
     max_points: Optional[int]
     random_samples: int
     max_nested_points: Optional[int]
-    chain_max_points: Optional[int]
 
     def explore_kwargs(self) -> Dict[str, Any]:
         return {
@@ -61,14 +60,12 @@ BUDGETS = {
         max_points=24,
         random_samples=1,
         max_nested_points=3,
-        chain_max_points=8,
     ),
     "full": CheckBudget(
         name="full",
         max_points=None,
         random_samples=2,
         max_nested_points=None,
-        chain_max_points=None,
     ),
 }
 
@@ -165,18 +162,6 @@ def contention_seeds(request) -> int:
 def serve_seeds(request) -> int:
     """How many device seeds the serving-layer crash sweeps run under."""
     return request.config.getoption("--serve-seeds")
-
-
-@pytest.fixture(scope="session")
-def media_faults(request) -> bool:
-    """Whether the deep media-fault sweeps were opted into."""
-    return request.config.getoption("--media-faults")
-
-
-@pytest.fixture(scope="session")
-def cluster_sweeps(request) -> bool:
-    """Whether the deep sharded-cluster sweeps were opted into."""
-    return request.config.getoption("--cluster")
 
 
 @pytest.fixture

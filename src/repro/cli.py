@@ -313,7 +313,7 @@ def cmd_nemesis(args) -> int:
         MEDIA_CORPUS,
         minimize,
         repro_snippet,
-        run_scenario,
+        run_corpus,
         scenario_by_name,
     )
     from .replication.chain import RetryPolicy
@@ -337,14 +337,8 @@ def cmd_nemesis(args) -> int:
     elif args.media:
         scenarios = list(MEDIA_CORPUS)
     else:
-        scenarios = list(CORPUS)
-    seeds = args.seeds
-    if args.quick:
-        if not args.media and not args.scenarios:
-            quick_names = {"flaky_link", "partition_and_heal", "crash_and_replace",
-                           "head_failover"}
-            scenarios = [s for s in scenarios if s.name in quick_names] or scenarios[:4]
-        seeds = min(seeds, 2)
+        scenarios = None  # the whole corpus, or its quick subset
+    seeds = min(args.seeds, 2) if args.quick else args.seeds
     # --unhardened with --media demonstrates the *media* failure class:
     # same faults, detection disabled (retries stay on — they are not the
     # defence under test)
@@ -355,17 +349,15 @@ def cmd_nemesis(args) -> int:
         retry = RetryPolicy.disabled() if args.unhardened else RetryPolicy()
 
     rows, failures = [], []
-    for scenario in scenarios:
-        for seed in range(seeds):
-            r = run_scenario(scenario, seed=seed, mode=args.mode, f=args.f,
-                             retry=retry)
-            rows.append([
-                r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
-                r.retransmissions, r.net.dropped if r.net else 0,
-                "ok" if r.ok else f"FAIL({len(r.problems)})",
-            ])
-            if not r.ok:
-                failures.append((scenario, seed, r))
+    for run, r in run_corpus(scenarios, seeds=seeds, mode=args.mode, f=args.f,
+                             retry=retry, quick=args.quick):
+        rows.append([
+            r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
+            r.retransmissions, r.net.dropped if r.net else 0,
+            "ok" if r.ok else f"FAIL({len(r.problems)})",
+        ])
+        if not r.ok:
+            failures.append((run, r))
     unhardened_note = ""
     if args.unhardened:
         unhardened_note = (
@@ -378,9 +370,9 @@ def cmd_nemesis(args) -> int:
         ["scenario", "seed", "ops", "retx", "dropped", "verdict"],
         rows,
     ))
-    for _scenario, _seed, r in failures[:5]:
+    for run, r in failures[:5]:
         for problem in r.problems[:3]:
-            print(f"  {r.scenario} seed={r.seed}: {problem}")
+            print(f"  {run.describe()}: {problem}")
 
     if args.unhardened:
         # the demonstration: the unhardened chain is SUPPOSED to fail;
@@ -389,8 +381,9 @@ def cmd_nemesis(args) -> int:
             print("unhardened configuration unexpectedly survived every "
                   "scenario", file=sys.stderr)
             return 1
-        scenario, seed, _r = failures[0]
-        small = minimize(scenario, seed, mode=args.mode, f=args.f, retry=retry)
+        run = failures[0][0]
+        seed = run.seed
+        small = minimize(run.scenario, seed, mode=args.mode, f=args.f, retry=retry)
         print(f"\nminimized failing repro ({small.name}, seed={seed}, "
               f"{small.n_clients} client(s) x {small.ops_per_client} op(s)):\n")
         print(repro_snippet(small, seed, mode=args.mode,
@@ -417,7 +410,7 @@ def cmd_cluster(args) -> int:
     """
     from .check import MigrationCrashExplorer
     from .cluster import ShardedCluster
-    from .faults import CLUSTER_CORPUS, run_scenario
+    from .faults import CLUSTER_CORPUS, run_corpus
     from .replication import run_clients
     from .workloads import Op, UPDATE, YCSBWorkload
 
@@ -483,18 +476,17 @@ def cmd_cluster(args) -> int:
 
     # -- stage 2: the sharded nemesis corpus ---------------------------------
     rows = []
-    for scenario in CLUSTER_CORPUS:
-        for seed in range(seeds):
-            r = run_scenario(scenario, seed=seed, mode=args.mode, f=args.f)
-            rows.append([
-                r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
-                r.migrations, r.coordinator_crashes, r.map_version,
-                "ok" if r.ok else f"FAIL({len(r.problems)})",
-            ])
-            if not r.ok:
-                failed += 1
-                for problem in r.problems[:3]:
-                    print(f"  {r.scenario} seed={seed}: {problem}")
+    for run, r in run_corpus(CLUSTER_CORPUS, seeds=seeds, mode=args.mode,
+                             f=args.f):
+        rows.append([
+            r.scenario, r.seed, f"{r.completed_ops}/{r.total_ops}",
+            r.migrations, r.coordinator_crashes, r.map_version,
+            "ok" if r.ok else f"FAIL({len(r.problems)})",
+        ])
+        if not r.ok:
+            failed += 1
+            for problem in r.problems[:3]:
+                print(f"  {run.describe()}: {problem}")
     print(format_table(
         f"sharded nemesis corpus: {args.mode}, {seeds} seed(s)",
         ["scenario", "seed", "ops", "migs", "coord-crash", "map", "verdict"],

@@ -12,15 +12,21 @@ from ..sim.network import LinkFaultPolicy, NetStats
 from .nemesis import FaultAction, Nemesis, NemesisScenario
 from .runner import (
     NemesisResult,
+    NemesisRun,
     client_streams,
-    demonstrate_unhardened,
     demonstrate_unprotected,
     minimize,
     repro_snippet,
     run_corpus,
     run_scenario,
 )
-from .scenarios import CLUSTER_CORPUS, CORPUS, MEDIA_CORPUS, scenario_by_name
+from .scenarios import (
+    CLUSTER_CORPUS,
+    CORPUS,
+    MEDIA_CORPUS,
+    QUICK_CORPUS,
+    scenario_by_name,
+)
 
 __all__ = [
     "CLUSTER_CORPUS",
@@ -30,11 +36,12 @@ __all__ = [
     "MEDIA_CORPUS",
     "Nemesis",
     "NemesisResult",
+    "NemesisRun",
     "NemesisScenario",
     "NetStats",
+    "QUICK_CORPUS",
     "RetryPolicy",
     "client_streams",
-    "demonstrate_unhardened",
     "demonstrate_unprotected",
     "minimize",
     "repro_snippet",

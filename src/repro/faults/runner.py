@@ -21,8 +21,9 @@ is empty iff the run converged:
 Determinism: all randomness flows from ``seed`` (the cluster RNG drives
 fault draws, a derived stream RNG builds the workload), so any verdict
 replays exactly — :func:`minimize` exploits that to shrink a failing
-``(scenario, seed)`` to a minimal repro, and :func:`repro_snippet`
-prints the replay program.
+``(scenario, seed)`` to a minimal repro with the crash-exploration
+kernel's greedy minimizer (:func:`repro.sweep.minimize`), and
+:func:`repro_snippet` prints the replay program.
 """
 
 from __future__ import annotations
@@ -30,18 +31,21 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..cluster.sharded import ShardedCluster
 from ..errors import MediaError
 from ..replication.chain import KAMINO, ChainCluster, RetryPolicy
 from ..replication.client import ChainClient, run_clients
 from ..replication.recovery import settle, scrub_node
+from ..parallel import fan_out
 from ..sim.network import NetStats
+from ..sweep import Failure
+from ..sweep import minimize as _minimize
 from ..workloads.keydist import ZipfianGenerator
 from ..workloads.ycsb import READ, UPDATE, Op
 from .nemesis import Nemesis, NemesisScenario
-from .scenarios import CORPUS
+from .scenarios import CORPUS, QUICK_CORPUS
 
 #: fixed record size for nemesis clusters (stores zero-pad to this)
 VALUE_SIZE = 64
@@ -358,6 +362,25 @@ def _judge_durability(
             )
 
 
+@dataclass(frozen=True)
+class NemesisRun:
+    """One ``(scenario, seed)`` nemesis run — the unit the corpus sweep
+    fans out and the minimizer shrinks."""
+
+    scenario: NemesisScenario
+    seed: int = 0
+    mode: str = KAMINO
+    f: int = 2
+    retry: Optional[RetryPolicy] = None
+
+    def describe(self) -> str:
+        return f"nemesis {self.scenario.name} seed={self.seed}"
+
+    def result(self) -> NemesisResult:
+        return run_scenario(self.scenario, seed=self.seed, mode=self.mode,
+                            f=self.f, retry=self.retry)
+
+
 def run_corpus(
     scenarios: Optional[List[NemesisScenario]] = None,
     seeds: int = 5,
@@ -365,23 +388,41 @@ def run_corpus(
     f: int = 2,
     retry: Optional[RetryPolicy] = None,
     quick: bool = False,
-) -> List[NemesisResult]:
-    """Every scenario × every seed.  ``quick`` trims to a smoke-sized
-    sweep (CI): a scenario subset under two seeds."""
+    workers: int = 0,
+) -> List[Tuple[NemesisRun, NemesisResult]]:
+    """Every scenario × every seed, as ``(run, result)`` pairs in that
+    order.  ``scenarios=None`` is the full corpus, or with ``quick`` the
+    smoke-sized :data:`QUICK_CORPUS`; ``quick`` also caps the seeds at
+    two.  ``workers`` fans the runs over a process pool; each run is
+    seed-deterministic, so the results do not depend on it."""
     if scenarios is None:
-        scenarios = CORPUS
+        scenarios = QUICK_CORPUS if quick else CORPUS
     if quick:
-        names = {"flaky_link", "partition_and_heal", "crash_and_replace",
-                 "head_failover"}
-        scenarios = [s for s in scenarios if s.name in names] or scenarios[:4]
         seeds = min(seeds, 2)
-    results = []
-    for scenario in scenarios:
-        for seed in range(seeds):
-            results.append(
-                run_scenario(scenario, seed=seed, mode=mode, f=f, retry=retry)
-            )
-    return results
+    runs = [
+        NemesisRun(scenario, seed, mode, f, retry)
+        for scenario in scenarios
+        for seed in range(seeds)
+    ]
+    return list(zip(runs, fan_out(NemesisRun.result, runs, workers)))
+
+
+def _failure(run: NemesisRun) -> Optional[Failure]:
+    problems = run.result().problems
+    return Failure(run, tuple(problems)) if problems else None
+
+
+def _shrink(run: NemesisRun) -> Iterator[NemesisRun]:
+    """Halve the clients, then each client's stream (every later probe
+    gets cheaper), then drop one fault action."""
+    scenario = run.scenario
+    for attr in ("n_clients", "ops_per_client"):
+        if getattr(scenario, attr) > 1:
+            smaller = replace(scenario, **{attr: getattr(scenario, attr) // 2})
+            yield replace(run, scenario=smaller)
+    for i in range(len(scenario.actions)):
+        actions = scenario.actions[:i] + scenario.actions[i + 1:]
+        yield replace(run, scenario=replace(scenario, actions=actions))
 
 
 def minimize(
@@ -396,39 +437,10 @@ def minimize(
     halve the workload while the failure reproduces.  Deterministic
     replay makes every probe exact.  Returns the smallest scenario found
     (the input itself if it doesn't fail)."""
-
-    def fails(candidate: NemesisScenario) -> bool:
-        return not run_scenario(
-            candidate, seed=seed, mode=mode, f=f, retry=retry
-        ).ok
-
-    if not fails(scenario):
+    failure = _failure(NemesisRun(scenario, seed, mode, f, retry))
+    if failure is None:
         return scenario
-    current = scenario
-    probes = 0
-    progress = True
-    while progress and probes < budget:
-        progress = False
-        for i in range(len(current.actions)):
-            cand = replace(
-                current, actions=current.actions[:i] + current.actions[i + 1:]
-            )
-            probes += 1
-            if fails(cand):
-                current = cand
-                progress = True
-                break
-        for attr, floor in (("n_clients", 1), ("ops_per_client", 1)):
-            while getattr(current, attr) > floor and probes < budget:
-                cand = replace(
-                    current, **{attr: max(floor, getattr(current, attr) // 2)}
-                )
-                probes += 1
-                if not fails(cand):
-                    break
-                current = cand
-                progress = True
-    return current
+    return _minimize(failure, _shrink, _failure, budget).scenario.scenario
 
 
 def repro_snippet(
@@ -474,22 +486,4 @@ def demonstrate_unprotected(
                 small = minimize(bare, seed, mode=mode)
                 return small, seed, repro_snippet(small, seed, mode=mode,
                                                   hardened=True)
-    return None
-
-
-def demonstrate_unhardened(
-    scenarios: Optional[List[NemesisScenario]] = None,
-    seeds: int = 3,
-    mode: str = KAMINO,
-) -> Optional[tuple]:
-    """Find one (scenario, seed) the unhardened configuration fails,
-    minimize it, and return ``(minimized_scenario, seed, snippet)`` —
-    ``None`` if (surprisingly) everything passed."""
-    disabled = RetryPolicy.disabled()
-    for scenario in (scenarios if scenarios is not None else CORPUS):
-        for seed in range(seeds):
-            verdict = run_scenario(scenario, seed=seed, mode=mode, retry=disabled)
-            if not verdict.ok:
-                small = minimize(scenario, seed, mode=mode, retry=disabled)
-                return small, seed, repro_snippet(small, seed, mode=mode)
     return None

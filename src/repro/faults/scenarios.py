@@ -268,6 +268,14 @@ MEDIA_CORPUS: List[NemesisScenario] = [s for s in CORPUS if s.media != "off"]
 #: cluster-smoke CI job run
 CLUSTER_CORPUS: List[NemesisScenario] = [s for s in CORPUS if s.groups > 1]
 
+#: the smoke-sized subset — what ``repro nemesis --quick`` and the
+#: nemesis-smoke CI job run (under at most two seeds)
+QUICK_CORPUS: List[NemesisScenario] = [
+    s for s in CORPUS
+    if s.name in ("flaky_link", "partition_and_heal", "crash_and_replace",
+                  "head_failover")
+]
+
 
 def scenario_by_name(name: str) -> Optional[NemesisScenario]:
     for scenario in CORPUS:

@@ -26,8 +26,10 @@ as its serial twin.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
+from dataclasses import fields
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from .nvm.stats import NVMStats
@@ -68,6 +70,7 @@ def fan_out(
     workers = resolve_workers(workers)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    gc.collect()  # or each forked worker's collector copies inherited garbage
     with multiprocessing.Pool(min(workers, len(jobs))) as pool:
         return pool.map(fn, jobs)
 
@@ -81,20 +84,7 @@ def merge_nvm_stats(parts: Iterable[NVMStats]) -> NVMStats:
     """
     total = NVMStats()
     for part in parts:
-        total.loads += part.loads
-        total.load_bytes += part.load_bytes
-        total.stores += part.stores
-        total.store_bytes += part.store_bytes
-        total.flushes += part.flushes
-        total.flushed_lines += part.flushed_lines
-        total.flush_bursts += part.flush_bursts
-        total.fences += part.fences
-        total.copies += part.copies
-        total.copy_bytes += part.copy_bytes
-        total.media_flips += part.media_flips
-        total.media_dead += part.media_dead
-        total.media_detected += part.media_detected
-        total.media_repaired += part.media_repaired
+        _add_counters(total, part)
     return total
 
 
@@ -103,21 +93,19 @@ def merge_net_stats(parts: Iterable[NetStats]) -> NetStats:
     partitions) from independent networks into one."""
     total = NetStats()
     for part in parts:
-        _add_net(total, part)
+        _add_counters(total, part)
         for name, sub in part.groups.items():
             bucket = total.groups.get(name)
             if bucket is None:
                 bucket = total.groups[name] = NetStats()
-            _add_net(bucket, sub)
+            _add_counters(bucket, sub)
     return total
 
 
-def _add_net(into: NetStats, part: NetStats) -> None:
-    into.sent += part.sent
-    into.delivered += part.delivered
-    into.dropped_link += part.dropped_link
-    into.dropped_node += part.dropped_node
-    into.dropped_fault += part.dropped_fault
-    into.corrupted += part.corrupted
-    into.duplicated += part.duplicated
-    into.reordered += part.reordered
+def _add_counters(into: Any, part: Any) -> None:
+    """Add every int field ``part``'s dataclass declares into ``into``,
+    so a newly declared counter cannot be left out of the merge."""
+    for f in fields(part):
+        value = getattr(part, f.name)
+        if isinstance(value, int):
+            setattr(into, f.name, getattr(into, f.name) + value)

@@ -25,12 +25,7 @@ durable-procedure lifecycle.
 
 from .admission import AdmissionConfig, AdmissionController
 from .client import ServeClient
-from .explorer import (
-    ServeCrashExplorer,
-    ServeFailure,
-    ServeReport,
-    ServeScenario,
-)
+from .explorer import ServeCrashExplorer, ServeScenario
 from .gateway import ClusterGateway
 from .procedures import (
     PROCEDURES,
@@ -65,8 +60,6 @@ __all__ = [
     "ReproServer",
     "ServeClient",
     "ServeCrashExplorer",
-    "ServeFailure",
-    "ServeReport",
     "ServeScenario",
     "encode_command",
     "encode_error",

@@ -28,13 +28,13 @@ ring exists to prevent: crash points where an increment lands twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import DeviceCrashedError, ProcedureResumed
 from ..nvm.backend import make_device
 from ..nvm.device import CrashPolicy
-from ..parallel import fan_out
+from ..sweep import Failure, Report, Verdict, count_ops, sample_points, sweep
 from .gateway import ClusterGateway
 from .procedures import (
     DEVICE_BYTES,
@@ -44,24 +44,8 @@ from .procedures import (
     _encode_int,
 )
 
-#: crash-point counting budget (mirrors repro.check.explorer.OP_BUDGET)
-OP_BUDGET = 1_000_000
-
 #: give up if one call crashes more often than this (a stuck recovery)
 _MAX_CRASHES_PER_CALL = 6
-
-
-def _sample_points(lo: int, hi: int, limit: Optional[int]) -> List[int]:
-    """All integers lo..hi, or an evenly spaced sample hitting both ends."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    if limit is None or n <= limit:
-        return list(range(lo, hi + 1))
-    if limit == 1:
-        return [lo]
-    step = (n - 1) / (limit - 1)
-    return sorted({lo + round(i * step) for i in range(limit)})
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +92,7 @@ def _expected(workload: str) -> Tuple[Dict[int, int], Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios / reporting
+# Scenarios
 # ---------------------------------------------------------------------------
 
 
@@ -140,42 +124,6 @@ class ServeScenario:
             f"procedure log after {self.crash_after} mutating device "
             f"op(s) [{self.policy}]{nested}, then recover, resume and "
             f"retry every interrupted call"
-        )
-
-
-@dataclass
-class ServeFailure:
-    scenario: ServeScenario
-    problems: Tuple[str, ...]
-
-    def __str__(self) -> str:
-        lines = "\n  ".join(self.problems)
-        return f"{self.scenario.describe()} ->\n  {lines}"
-
-
-@dataclass
-class ServeReport:
-    workload: str
-    durable: bool
-    n_ops: int
-    states_explored: int = 0
-    nested_explored: int = 0
-    not_fired: int = 0
-    crashes_observed: int = 0
-    failures: List[ServeFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        stack = "durable" if self.durable else "volatile"
-        verdict = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        return (
-            f"serve-crash sweep [{stack} stack, workload "
-            f"'{self.workload}']: {self.states_explored} crash point(s) "
-            f"of {self.n_ops} (+{self.nested_explored} nested, "
-            f"{self.crashes_observed} crashes observed) -> {verdict}"
         )
 
 
@@ -222,25 +170,23 @@ class ServeCrashExplorer:
                 client_id="setup", request_id=j,
             )
 
+    def _run_calls(self, engine: ProcedureEngine) -> None:
+        for name, pid, args in _workload_calls(self.workload):
+            engine.run(name, args, pid=pid)
+
     def count_ops(self) -> int:
         """Mutating procedure-log device ops of one clean workload run."""
         engine = self._build(self.device_seed)
-        device = engine.store.device
-        device.schedule_crash(OP_BUDGET, CrashPolicy.DROP_ALL)
-        for name, pid, args in _workload_calls(self.workload):
-            engine.run(name, args, pid=pid)
-        remaining = device.scheduled_crash_remaining()
-        device.cancel_scheduled_crash()
-        assert remaining is not None
-        return OP_BUDGET - remaining
+        return count_ops(engine.store.device, lambda: self._run_calls(engine))
+
+    def points(self) -> Tuple[int, int]:
+        """The crash-point span: one point per counted log operation."""
+        return 0, self.count_ops() - 1
 
     # -- one replay ------------------------------------------------------------
 
-    def replay(self, scenario: ServeScenario
-               ) -> Tuple[Optional[ServeFailure], int]:
-        """Run one scenario; returns ``(failure_or_None, crashes_seen)``.
-
-        ``crashes_seen == 0`` means the fail-point never fired (the
+    def trial(self, scenario: ServeScenario) -> Optional[Verdict]:
+        """Run one scenario; ``None`` if the fail point never fired (the
         sweep records it but judges nothing)."""
         engine = self._build(scenario.device_seed)
         device = engine.store.device
@@ -248,6 +194,14 @@ class ServeCrashExplorer:
             scenario.crash_after, scenario.crash_policy(), scenario.survival
         )
         crashes = 0
+
+        def verdict(problems) -> Verdict:
+            return Verdict(
+                Failure(scenario, tuple(problems)) if problems else None,
+                nested=scenario.nested_after is not None and crashes >= 2,
+                crashes=crashes,
+            )
+
         for name, pid, args in _workload_calls(scenario.workload):
             for _attempt in range(_MAX_CRASHES_PER_CALL):
                 try:
@@ -257,23 +211,26 @@ class ServeCrashExplorer:
                     break  # recovery already completed this pid
                 except DeviceCrashedError:
                     crashes += 1
-                    ok = self._recover(engine, scenario, nested=crashes == 1)
-                    if not ok:
-                        return ServeFailure(scenario, (
-                            "recovery did not converge (repeated crashes)",
-                        )), crashes
+                    if not self._recover(engine, scenario, nested=crashes == 1):
+                        return verdict(
+                            ["recovery did not converge (repeated crashes)"]
+                        )
             else:
-                return ServeFailure(scenario, (
+                return verdict([
                     f"call {pid} never completed after "
-                    f"{_MAX_CRASHES_PER_CALL} crash/recover rounds",
-                )), crashes
+                    f"{_MAX_CRASHES_PER_CALL} crash/recover rounds"
+                ])
         device.cancel_scheduled_crash()
         if crashes == 0:
-            return None, 0
-        problems = self._judge(engine, scenario)
-        if problems:
-            return ServeFailure(scenario, tuple(problems)), crashes
-        return None, crashes
+            return None
+        return verdict(self._judge(engine, scenario))
+
+    def replay(self, scenario: ServeScenario
+               ) -> Tuple[Optional[Failure], int]:
+        """Run one scenario; returns ``(failure_or_None, crashes_seen)``,
+        with ``crashes_seen == 0`` when the fail point never fired."""
+        verdict = self.trial(scenario)
+        return (verdict.failure, verdict.crashes) if verdict else (None, 0)
 
     def _recover(self, engine: ProcedureEngine, scenario: ServeScenario,
                  nested: bool) -> bool:
@@ -339,65 +296,30 @@ class ServeCrashExplorer:
 
     def explore(self, max_points: Optional[int] = None, nested: bool = True,
                 max_nested_points: Optional[int] = 3, random_samples: int = 0,
-                workers: int = 0) -> ServeReport:
+                workers: int = 0) -> Report:
         """Deterministic sweep: every (sampled) crash point with the
         worst-case DROP_ALL policy, optional RANDOM survival lotteries,
         then nested crashes during the first recovery."""
-        n_ops = self.count_ops()
-        report = ServeReport(self.workload, self.durable, n_ops)
+        first, last = self.points()
+        stack = "durable" if self.durable else "volatile"
+        report = Report(f"serve-{stack}", self.workload, n_ops=last - first + 1)
         base = ServeScenario(
             workload=self.workload, durable=self.durable,
             device_seed=self.device_seed,
         )
-        scenarios = [
-            replace(base, crash_after=point)
-            for point in _sample_points(1, n_ops, max_points)
-        ]
+        points = sample_points(first, last, max_points)
+        scenarios = [replace(base, crash_after=point) for point in points]
         for r in range(random_samples):
             scenarios += [
                 replace(base, crash_after=point, policy="random",
                         device_seed=self.device_seed + 101 + r)
-                for point in _sample_points(1, n_ops, max_points)
+                for point in points
             ]
         if nested:
-            nested_points = _sample_points(
-                1, n_ops,
-                max_nested_points if max_nested_points is not None else None,
-            )
             scenarios += [
                 replace(base, crash_after=point, nested_after=after)
-                for point in nested_points
+                for point in sample_points(first, last, max_nested_points)
                 for after in (1, 3)
             ]
-        results = self._replay_many(scenarios, workers)
-        for scenario, (failure, crashes) in zip(scenarios, results):
-            if crashes == 0:
-                report.not_fired += 1
-                continue
-            report.states_explored += 1
-            if scenario.nested_after is not None and crashes >= 2:
-                report.nested_explored += 1
-            report.crashes_observed += crashes
-            if failure is not None:
-                report.failures.append(failure)
+        sweep(report, self, scenarios, workers)
         return report
-
-    def _replay_many(self, scenarios: List[ServeScenario], workers: int):
-        jobs = [
-            (scenario, self.groups, self.shards_per_group)
-            for scenario in scenarios
-        ]
-        if workers and workers != 1 and len(jobs) > 1:
-            return fan_out(_serve_replay_job, jobs, workers)
-        return [_serve_replay_job(job) for job in jobs]
-
-
-def _serve_replay_job(job) -> Tuple[Optional[ServeFailure], int]:
-    """One replay, module-level so it pickles for the process pool."""
-    scenario, groups, shards_per_group = job
-    explorer = ServeCrashExplorer(
-        workload=scenario.workload, durable=scenario.durable,
-        device_seed=scenario.device_seed, groups=groups,
-        shards_per_group=shards_per_group,
-    )
-    return explorer.replay(scenario)

@@ -37,6 +37,25 @@ class TestDurableSweep:
         assert report.ok, report.summary()
 
 
+class TestPointRange:
+    def test_sweep_visits_point_zero_and_every_point_fires(self):
+        """n counted log ops span crash points 0..n-1: point 0 fires
+        before the first op, and the last sampled point still fires."""
+        visited = []
+
+        class Recording(ServeCrashExplorer):
+            def trial(self, scenario):
+                visited.append(scenario.crash_after)
+                return super().trial(scenario)
+
+        explorer = Recording("transfer", groups=1, shards_per_group=1)
+        report = explorer.explore(max_points=2, nested=False)
+        assert report.not_fired == 0
+        assert report.states_explored == 2
+        assert visited == [0, report.n_ops - 1]
+        assert report.ok, report.summary()
+
+
 class TestUnhardenedTeeth:
     def test_volatile_frames_double_apply(self):
         # the sweep must FIND failures with the persistent stack off —
