@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..runtime.online import VirtualClients, _InlineSource
+from ..tx.striped_locks import StripedLockTable
 from .runners import _load_ycsb
 
 #: contention-battery defaults: a hot key space a few hundred wide makes
@@ -80,21 +81,12 @@ class ContentionCell:
 def _engine_lock_stats(engine) -> Dict[str, int]:
     """Lock-table counters for any engine exposing a ``locks`` table."""
     locks = getattr(engine, "locks", None)
-    stats = getattr(locks, "stats", None)
-    if stats is None:
+    if locks is None:
         return {}
-    out = {
-        "write_acquires": stats.write_acquires,
-        "read_acquires": stats.read_acquires,
-        "dependent_waits": stats.dependent_waits,
-        "conflict_waits": stats.conflict_waits,
-        "on_demand_syncs": stats.on_demand_syncs,
-    }
-    snapshot = getattr(locks, "stats_snapshot", None)
-    if snapshot is not None:
-        snap = snapshot()
-        out["stripes"] = snap.stripes
-        out["hottest_stripe_acquires"] = snap.hottest_stripe_acquires
+    out = locks.stats.as_dict()
+    if isinstance(locks, StripedLockTable):
+        out["stripes"] = locks.nstripes
+        out["hottest_stripe_acquires"] = locks.hottest_stripe_acquires
     return out
 
 

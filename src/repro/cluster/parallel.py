@@ -13,7 +13,7 @@ process, and merges the results deterministically:
 
 * per-group committed/aborted/retransmission counters sum;
 * per-replica :class:`~repro.nvm.stats.NVMStats` fold through
-  :func:`repro.parallel.merge_nvm_stats` in (group, replica) order;
+  ``NVMStats.merge`` in (group, replica) order;
 * transport :class:`~repro.sim.network.NetStats` fold per group tag;
 * logical KV states union (disjoint by construction — the map routed
   each key to exactly one group);
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..nvm.stats import NVMStats
-from ..parallel import fan_out, merge_net_stats, merge_nvm_stats
+from ..parallel import fan_out
 from ..replication.chain import KAMINO
 from ..sim.network import NetStats
 from .placement import PlacementService
@@ -107,9 +107,7 @@ def _run_group_job(job) -> GroupRunResult:
         retransmissions=cluster.retransmissions,
         sim_time_ns=cluster.sim.now,
         events=cluster.sim.processed,
-        nvm=merge_nvm_stats(
-            node.device.stats.snapshot() for node in cluster.chain
-        ),
+        nvm=NVMStats.merge(node.device.stats for node in cluster.chain),
         net=cluster.net.stats.snapshot(),
         state=cluster.kv_states()[0],
     )
@@ -162,6 +160,6 @@ def run_sharded_parallel(
         report.sim_time_ns = max(report.sim_time_ns, result.sim_time_ns)
         report.events += result.events
         report.state.update(result.state)
-    report.nvm = merge_nvm_stats(result.nvm for result in results)
-    report.net = merge_net_stats(result.net for result in results)
+    report.nvm = NVMStats.merge(result.nvm for result in results)
+    report.net = NetStats.merge(result.net for result in results)
     return report

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..counters import forward_counters
 from ..errors import ClusterConfigError, ShardMigrationError
 from ..nvm.latency import NVDIMM, LatencyModel
 from ..runtime.context import ExecutionContext
 from ..sim.network import DEFAULT_HOP_NS, SimNetwork
-from ..replication.chain import KAMINO, ChainCluster, RetryPolicy
+from ..replication.chain import KAMINO, ChainCluster, ChainCounters, RetryPolicy
 from .migrate import ShardMigration
 from .placement import PlacementService
 from .report import MigrationReport
@@ -36,6 +37,7 @@ def group_tag(gid: int) -> str:
     return f"g{gid}"
 
 
+@forward_counters(ChainCounters)
 class ShardedCluster:
     """Multiple chain groups, one shard map, online migration."""
 
@@ -271,44 +273,15 @@ class ShardedCluster:
 
     # -- aggregated metrics ------------------------------------------------------
 
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(group, attr) for group in self.groups)
-
     @property
-    def committed(self) -> int:
-        return self._sum("committed")
+    def counters(self) -> ChainCounters:
+        """Every group's :class:`ChainCounters`, summed into a new object.
 
-    @property
-    def aborted(self) -> int:
-        return self._sum("aborted")
-
-    @property
-    def retransmissions(self) -> int:
-        return self._sum("retransmissions")
-
-    @property
-    def timed_out(self) -> int:
-        return self._sum("timed_out")
-
-    @property
-    def degraded_rejections(self) -> int:
-        return self._sum("degraded_rejections")
-
-    @property
-    def degraded_readmissions(self) -> int:
-        return self._sum("degraded_readmissions")
-
-    @property
-    def duplicate_requests(self) -> int:
-        return self._sum("duplicate_requests")
-
-    @property
-    def backpressure_stalls(self) -> int:
-        return self._sum("backpressure_stalls")
-
-    @property
-    def dependent_queued(self) -> int:
-        return self._sum("dependent_queued")
+        Unlike :attr:`ChainCluster.counters` this is a read-only
+        snapshot built on each access: counting happens on the groups'
+        own ``counters``, and a write to the returned object is lost.
+        """
+        return ChainCounters.merge(group.counters for group in self.groups)
 
     @property
     def write_latencies_ns(self) -> List[float]:
@@ -326,7 +299,7 @@ class ShardedCluster:
 
     @property
     def total_storage_bytes(self) -> int:
-        return self._sum("total_storage_bytes")
+        return sum(group.total_storage_bytes for group in self.groups)
 
     # -- verification -------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from .latency import (
 )
 from .pool import DATA_START, MAX_REGIONS, PmemPool, PmemRegion
 from .reference import ReferenceNVMDevice
-from .stats import NVMStats, StatsStack
+from .stats import NVMStats
 
 if HAVE_NUMPY:
     from .numpy_device import NumpyNVMDevice  # noqa: F401
@@ -51,7 +51,6 @@ __all__ = [
     "PmemPool",
     "PmemRegion",
     "ReferenceNVMDevice",
-    "StatsStack",
     "available_backends",
     "default_backend",
     "device_class",

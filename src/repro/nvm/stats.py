@@ -7,14 +7,19 @@ simulated nanoseconds with a :class:`~repro.nvm.latency.LatencyModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..counters import Counters
 from .latency import CACHE_LINE, LatencyModel
 
 
 @dataclass(slots=True)
-class NVMStats:
-    """Counters of device primitives since construction (or last reset)."""
+class NVMStats(Counters):
+    """Counters of device primitives since construction (or last reset).
+
+    ``snapshot``/``delta``/``reset``/``merge``/``as_dict`` come from
+    :class:`~repro.counters.Counters`; a new counter is one field here.
+    """
 
     loads: int = 0
     load_bytes: int = 0
@@ -40,68 +45,6 @@ class NVMStats:
     # checksum rewritten together — consistent corruption the per-line
     # sidecar cannot see; detection is the integrity tree's job)
     media_stale: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        self.loads = 0
-        self.load_bytes = 0
-        self.stores = 0
-        self.store_bytes = 0
-        self.flushes = 0
-        self.flushed_lines = 0
-        self.flush_bursts = 0
-        self.fences = 0
-        self.copies = 0
-        self.copy_bytes = 0
-        self.media_flips = 0
-        self.media_dead = 0
-        self.media_detected = 0
-        self.media_repaired = 0
-        self.media_stale = 0
-
-    def snapshot(self) -> "NVMStats":
-        """Return an independent copy of the current counters.
-
-        Positional construction: this runs three times per simulated
-        transaction, so it is one of the harness's hottest call sites.
-        """
-        return NVMStats(
-            self.loads,
-            self.load_bytes,
-            self.stores,
-            self.store_bytes,
-            self.flushes,
-            self.flushed_lines,
-            self.flush_bursts,
-            self.fences,
-            self.copies,
-            self.copy_bytes,
-            self.media_flips,
-            self.media_dead,
-            self.media_detected,
-            self.media_repaired,
-            self.media_stale,
-        )
-
-    def delta(self, since: "NVMStats") -> "NVMStats":
-        """Return counters accumulated since the ``since`` snapshot."""
-        return NVMStats(
-            self.loads - since.loads,
-            self.load_bytes - since.load_bytes,
-            self.stores - since.stores,
-            self.store_bytes - since.store_bytes,
-            self.flushes - since.flushes,
-            self.flushed_lines - since.flushed_lines,
-            self.flush_bursts - since.flush_bursts,
-            self.fences - since.fences,
-            self.copies - since.copies,
-            self.copy_bytes - since.copy_bytes,
-            self.media_flips - since.media_flips,
-            self.media_dead - since.media_dead,
-            self.media_detected - since.media_detected,
-            self.media_repaired - since.media_repaired,
-            self.media_stale - since.media_stale,
-        )
 
     def simulated_ns(self, model: LatencyModel) -> float:
         """Convert these counters into simulated nanoseconds.
@@ -131,17 +74,3 @@ class NVMStats:
     def total_bytes(self) -> int:
         """All bytes moved to or from the media (loads+stores+copies)."""
         return self.load_bytes + self.store_bytes + self.copy_bytes
-
-
-@dataclass
-class StatsStack:
-    """A small helper for nested snapshot/delta accounting."""
-
-    stats: NVMStats
-    _marks: list = field(default_factory=list)
-
-    def push(self) -> None:
-        self._marks.append(self.stats.snapshot())
-
-    def pop(self) -> NVMStats:
-        return self.stats.delta(self._marks.pop())

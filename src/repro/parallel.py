@@ -18,10 +18,9 @@ Rules the call sites follow:
 * ``workers <= 1`` short-circuits to a plain in-process loop — the
   same code path the merge logic is tested against.
 
-Stats merging helpers live here too: :func:`merge_nvm_stats` /
-:func:`merge_net_stats` fold per-worker counter snapshots into one
-document in argument order, so a fanned sweep reports the same totals
-as its serial twin.
+Per-worker counter snapshots fold with their class's ``merge``
+(:class:`repro.counters.Counters`), in result order, so a fanned sweep
+reports the same totals as its serial twin.
 """
 
 from __future__ import annotations
@@ -29,11 +28,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-from dataclasses import fields
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
-
-from .nvm.stats import NVMStats
-from .sim.network import NetStats
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -73,39 +68,3 @@ def fan_out(
     gc.collect()  # or each forked worker's collector copies inherited garbage
     with multiprocessing.Pool(min(workers, len(jobs))) as pool:
         return pool.map(fn, jobs)
-
-
-def merge_nvm_stats(parts: Iterable[NVMStats]) -> NVMStats:
-    """Fold device-counter snapshots from independent stacks into one.
-
-    Addition is commutative, but the fold still walks ``parts`` in
-    order so a merged report is reproducible from the ordered result
-    list alone.
-    """
-    total = NVMStats()
-    for part in parts:
-        _add_counters(total, part)
-    return total
-
-
-def merge_net_stats(parts: Iterable[NetStats]) -> NetStats:
-    """Fold transport-counter snapshots (including their per-group
-    partitions) from independent networks into one."""
-    total = NetStats()
-    for part in parts:
-        _add_counters(total, part)
-        for name, sub in part.groups.items():
-            bucket = total.groups.get(name)
-            if bucket is None:
-                bucket = total.groups[name] = NetStats()
-            _add_counters(bucket, sub)
-    return total
-
-
-def _add_counters(into: Any, part: Any) -> None:
-    """Add every int field ``part``'s dataclass declares into ``into``,
-    so a newly declared counter cannot be left out of the merge."""
-    for f in fields(part):
-        value = getattr(part, f.name)
-        if isinstance(value, int):
-            setattr(into, f.name, getattr(into, f.name) + value)

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..counters import Counters, forward_counters
 from ..errors import (
     ChainConfigError,
     ClusterDegraded,
@@ -65,6 +66,23 @@ from .node import ROLE_HEAD, ROLE_MID, ROLE_TAIL, ReplicaNode
 
 TRADITIONAL = "traditional"
 KAMINO = "kamino"
+
+
+@dataclass(slots=True)
+class ChainCounters(Counters):
+    """A chain's outcome counters; :class:`ChainCluster` and
+    :class:`~repro.cluster.sharded.ShardedCluster` expose each one as a
+    read-only attribute of the same name."""
+
+    committed: int = 0
+    aborted: int = 0
+    retransmissions: int = 0
+    timed_out: int = 0  # retransmission budget exhausted, outcome unknown
+    degraded_rejections: int = 0  # writes refused while degraded
+    degraded_readmissions: int = 0  # parked writes readmitted on close
+    duplicate_requests: int = 0  # retried client requests deduplicated
+    backpressure_stalls: int = 0  # admission stalled on the backup lag
+    dependent_queued: int = 0  # writes queued behind a busy key
 
 
 @dataclass(frozen=True)
@@ -120,6 +138,7 @@ class _PendingWrite:
         self.attempts = 0
 
 
+@forward_counters(ChainCounters)
 class ChainCluster:
     """A full chain deployment over the event simulator.
 
@@ -234,15 +253,7 @@ class ChainCluster:
         # metrics
         self.write_latencies_ns: List[float] = []
         self.read_latencies_ns: List[float] = []
-        self.aborted = 0
-        self.committed = 0
-        self.dependent_queued = 0
-        self.retransmissions = 0
-        self.timed_out = 0
-        self.degraded_rejections = 0
-        self.degraded_readmissions = 0
-        self.duplicate_requests = 0
-        self.backpressure_stalls = 0
+        self.counters = ChainCounters()
 
     # -- topology ------------------------------------------------------------
 
@@ -307,7 +318,7 @@ class ChainCluster:
             parked = list(self._degraded_queue)
             self._degraded_queue.clear()
             for op in parked:
-                self.degraded_readmissions += 1
+                self.counters.degraded_readmissions += 1
                 self._try_admit(op)
 
     def retry_after_ns(self) -> Optional[float]:
@@ -399,20 +410,20 @@ class ChainCluster:
             done = self._completed_requests.get(client_id)
             if done is not None and done[0] == request_id:
                 # duplicate of a completed request: replay the reply
-                self.duplicate_requests += 1
+                self.counters.duplicate_requests += 1
                 self._reply(op, done[1])
                 return
             if (client_id, request_id) in self._inflight_requests:
                 # duplicate of an in-flight request: drop; the original's
                 # completion resolves the client's state
-                self.duplicate_requests += 1
+                self.counters.duplicate_requests += 1
                 return
             self._inflight_requests[(client_id, request_id)] = -1
         if self.degraded:
             if self.degraded_policy == "queue":
                 self._degraded_queue.append(op)
             else:
-                self.degraded_rejections += 1
+                self.counters.degraded_rejections += 1
                 self._reply(op, ClusterDegraded(
                     f"chain has {len(self.chain)} replica(s), write quorum is "
                     f"{self.write_quorum}" if len(self.chain) < self.write_quorum
@@ -472,7 +483,7 @@ class ChainCluster:
 
     def _try_admit(self, op: _PendingWrite) -> None:
         if any(k in self._busy_keys for k in op.keys):
-            self.dependent_queued += 1
+            self.counters.dependent_queued += 1
             self._admission_queue.append(op)
             return
         head = self.head
@@ -480,7 +491,7 @@ class ChainCluster:
             # back-pressure: the head's backup-sync backlog is at its
             # bound; stall admission and drain before taking new work,
             # so a slow tail cannot grow the lag without limit
-            self.backpressure_stalls += 1
+            self.counters.backpressure_stalls += 1
             self._admission_queue.append(op)
             if self._backpressure_event is None:
                 self._backpressure_event = self.sim.schedule(
@@ -511,7 +522,7 @@ class ChainCluster:
             # aborts are resolved locally at the head (Figure 8, right):
             # the backup (or undo log) rolls the head back; nothing is
             # ever forwarded downstream.
-            self.aborted += 1
+            self.counters.aborted += 1
             self._release_keys(op)
             self._reply(op, None)
             return
@@ -549,7 +560,7 @@ class ChainCluster:
             self._abandon(op)
             return
         op.attempts += 1
-        self.retransmissions += 1
+        self.counters.retransmissions += 1
         head = self.head
         successor = self.successor(head)
         if successor is None:
@@ -579,7 +590,7 @@ class ChainCluster:
         still receive it eventually (later retransmissions resend it as
         part of the window) or they could never apply anything after it.
         """
-        self.timed_out += 1
+        self.counters.timed_out += 1
         self._inflight_writes.pop(op.seq, None)
         self._note_write_failure()
         self._release_keys(op)
@@ -659,7 +670,7 @@ class ChainCluster:
         head = self.head
         # the final call to the client is a local up-call on the head
         # (§5.1) — it happens at the tail ack, not after the backup sync
-        self.committed += 1
+        self.counters.committed += 1
         self._note_write_success()
         head.inflight.pop(msg.seq, None)
         head.applied_ranges.pop(msg.seq, None)

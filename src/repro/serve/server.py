@@ -309,23 +309,8 @@ class ReproServer:
             "procedures": self.procedures.stats(),
             "cluster": {
                 "sim_now_ns": cluster.sim.now,
-                "degraded": bool(getattr(cluster, "degraded", False)),
-                "committed": getattr(cluster, "committed", 0),
-                "aborted": getattr(cluster, "aborted", 0),
-                "retransmissions": getattr(cluster, "retransmissions", 0),
-                "timed_out": getattr(cluster, "timed_out", 0),
-                "degraded_rejections": getattr(
-                    cluster, "degraded_rejections", 0
-                ),
-                "degraded_readmissions": getattr(
-                    cluster, "degraded_readmissions", 0
-                ),
-                "backpressure_stalls": getattr(
-                    cluster, "backpressure_stalls", 0
-                ),
-                "duplicate_requests": getattr(
-                    cluster, "duplicate_requests", 0
-                ),
+                "degraded": bool(cluster.degraded),
+                **cluster.counters.as_dict(),
             },
         }
         device_stats = getattr(self.store.device, "stats", None)

@@ -30,8 +30,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..counters import Counters
 from .events import EventSimulator
 
 #: default one-way hop latency: ~2 µs, RDMA-class (paper: 32 Gbps IB)
@@ -70,8 +71,9 @@ class LinkFaultPolicy:
 
 
 @dataclass(slots=True)
-class NetStats:
-    """Message counters, NVMStats-style (``snapshot()`` / ``delta()``).
+class NetStats(Counters):
+    """Message counters, with the :class:`~repro.counters.Counters`
+    protocol (``snapshot``/``delta``/``reset``/``merge``/``as_dict``).
 
     ``dropped_link`` — cut links and partitions; ``dropped_node`` — the
     destination is fail-stopped or unregistered; ``dropped_fault`` — a
@@ -83,7 +85,9 @@ class NetStats:
     source node's group (destination's when the source has none), so
     per-group drop counters aggregate back to the totals instead of
     double- or under-counting when N groups share one transport.
-    ``snapshot()``/``delta()`` carry the partition along, window-style.
+    The protocol methods carry the partition along: window-style in
+    ``snapshot``/``delta``, group by group in ``merge``; ``as_dict``
+    stays flat (the counters only).
     """
 
     sent: int = 0
@@ -106,44 +110,29 @@ class NetStats:
         return self.groups.get(name, NetStats())
 
     def reset(self) -> None:
-        self.sent = 0
-        self.delivered = 0
-        self.dropped_link = 0
-        self.dropped_node = 0
-        self.dropped_fault = 0
-        self.corrupted = 0
-        self.duplicated = 0
-        self.reordered = 0
+        super(NetStats, self).reset()
         self.groups = {}
 
     def snapshot(self) -> "NetStats":
-        return NetStats(
-            self.sent,
-            self.delivered,
-            self.dropped_link,
-            self.dropped_node,
-            self.dropped_fault,
-            self.corrupted,
-            self.duplicated,
-            self.reordered,
-            {name: g.snapshot() for name, g in self.groups.items()},
-        )
+        snap = super(NetStats, self).snapshot()
+        snap.groups = {name: g.snapshot() for name, g in self.groups.items()}
+        return snap
 
     def delta(self, since: "NetStats") -> "NetStats":
-        return NetStats(
-            self.sent - since.sent,
-            self.delivered - since.delivered,
-            self.dropped_link - since.dropped_link,
-            self.dropped_node - since.dropped_node,
-            self.dropped_fault - since.dropped_fault,
-            self.corrupted - since.corrupted,
-            self.duplicated - since.duplicated,
-            self.reordered - since.reordered,
-            {
-                name: g.delta(since.groups.get(name, NetStats()))
-                for name, g in self.groups.items()
-            },
-        )
+        out = super(NetStats, self).delta(since)
+        out.groups = {name: g.delta(since.group(name)) for name, g in self.groups.items()}
+        return out
+
+    @classmethod
+    def merge(cls, parts: Iterable["NetStats"]) -> "NetStats":
+        parts = list(parts)
+        total = super(NetStats, cls).merge(parts)
+        names = dict.fromkeys(name for part in parts for name in part.groups)
+        total.groups = {
+            name: cls.merge(part.groups[name] for part in parts if name in part.groups)
+            for name in names
+        }
+        return total
 
 
 def message_checksum(msg: Any) -> int:

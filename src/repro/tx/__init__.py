@@ -25,7 +25,7 @@ from .kamino import KaminoEngine, kamino_simple
 from .locks import LockStats, ObjectLockTable
 from .nvtraverse import NVTraverseEngine, nvtraverse
 from .recovery import reopen_after_crash, verify_backup_consistency
-from .striped_locks import LockTableStats, StripedLockTable
+from .striped_locks import StripedLockTable
 from .undo import NoLoggingEngine, UndoLogEngine
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "IntentKind",
     "KaminoEngine",
     "LockStats",
-    "LockTableStats",
     "LogManager",
     "NVTraverseEngine",
     "NoLoggingEngine",

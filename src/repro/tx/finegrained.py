@@ -34,7 +34,7 @@ from .base import Transaction
 from .dynamic import DynamicBackup
 from .intent_log import SlotState
 from .kamino import KaminoEngine, _SyncTask
-from .striped_locks import LockTableStats, StripedLockTable
+from .striped_locks import StripedLockTable
 
 
 class FineGrainedKaminoEngine(KaminoEngine):
@@ -89,10 +89,6 @@ class FineGrainedKaminoEngine(KaminoEngine):
     def _release_writes(self, tx: Transaction) -> None:
         for off in sorted(tx.write_set):
             self.locks.release_write(tx.txid, off)
-
-    def lock_stats(self) -> LockTableStats:
-        """Aggregated striped lock-table counters (NVMStats idiom)."""
-        return self.locks.stats_snapshot()
 
 
 @register_engine(

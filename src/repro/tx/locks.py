@@ -24,11 +24,12 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
+from ..counters import Counters
 from ..errors import LockTimeoutError
 
 
-@dataclass
-class LockStats:
+@dataclass(slots=True)
+class LockStats(Counters):
     """Counters describing contention, exposed to benchmarks."""
 
     write_acquires: int = 0

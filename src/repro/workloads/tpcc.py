@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..counters import Counters
 from ..kvstore.kv import KVStore
 
 # table ids for composite keys: [table:8][w:8][d:8][rest:40]
@@ -111,8 +112,8 @@ def _unpack(codec: struct.Struct, row: bytes) -> tuple:
     return codec.unpack(row[: codec.size])
 
 
-@dataclass
-class TPCCStats:
+@dataclass(slots=True)
+class TPCCStats(Counters):
     """Per-profile commit counters (the benchmark reports tpmC-style)."""
 
     new_orders: int = 0
@@ -123,13 +124,7 @@ class TPCCStats:
 
     @property
     def total(self) -> int:
-        return (
-            self.new_orders
-            + self.payments
-            + self.order_statuses
-            + self.deliveries
-            + self.stock_levels
-        )
+        return sum(self.as_dict().values())
 
 
 class TPCCLite:

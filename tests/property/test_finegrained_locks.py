@@ -164,8 +164,8 @@ def test_stripe_count_invariance(steps):
         table = StripedLockTable(nstripes, timeout=1.0)
         _run_script(table, steps)
         assert len(table) == 0
-        snap = table.stats_snapshot()
-        assert snap.stripes == nstripes
+        snap = table.stats
+        assert table.nstripes == nstripes
         snapshots.append(
             (
                 snap.write_acquires,

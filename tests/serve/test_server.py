@@ -8,10 +8,13 @@ dependency).
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.counters import counter_names
 from repro.errors import AdmissionRejected
+from repro.replication.chain import ChainCluster, ChainCounters
 from repro.serve import AdmissionConfig, ReproServer, ServeClient
 from repro.serve.procedures import _encode_int
 from repro.serve.protocol import ReplyReader, encode_command
@@ -179,6 +182,35 @@ class TestDurableProcedures:
             assert block in doc, block
         assert doc["gateway"]["writes"] >= 1
         assert doc["server"]["requests"] >= 2
+
+
+class TestClusterMetrics:
+    """The ``cluster`` block carries every declared chain counter, live."""
+
+    def _check(self, server, groups):
+        one(server, b"PUT", b"1", b"x")
+        for gid, group in enumerate(groups):
+            for k, name in enumerate(counter_names(ChainCounters)):
+                setattr(group.counters, name, getattr(group.counters, name) + 10 * gid + k + 1)
+        block = server.metrics()["cluster"]
+        for name in counter_names(ChainCounters):
+            assert block[name] == getattr(server.cluster, name), name
+            assert block[name] == sum(getattr(g.counters, name) for g in groups), name
+        assert block["committed"] >= len(groups) + 1
+
+    def test_single_chain(self):
+        cluster = ChainCluster(f=1, heap_mb=2, value_size=64)
+        self._check(ReproServer(cluster=cluster), [cluster])
+
+    def test_sharded_cluster(self):
+        server = make_server()
+        self._check(server, server.cluster.groups)
+
+    def test_cluster_without_counters_raises(self):
+        server = make_server()
+        server.cluster = SimpleNamespace(sim=server.cluster.sim, degraded=False)
+        with pytest.raises(AttributeError):
+            server.metrics()
 
 
 class TestAsyncioEndToEnd:
