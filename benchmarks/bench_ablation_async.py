@@ -15,20 +15,21 @@ Eager Kamino lands between the two: it already avoids undo's log-arena
 data capture, but still pays the copy before commit returns.
 """
 
-from repro.bench import TraceCollector, build_stack, format_table, replay
+from repro.bench import TraceCollector, format_table, replay
+from repro.runtime import ExecutionContext
 from repro.workloads import YCSBWorkload
 
 NTHREADS = 4
 
 
 def _trace(engine_name, nrecords, nops, **engine_kwargs):
-    stack = build_stack(engine_name, value_size=1008, **engine_kwargs)
+    ctx = ExecutionContext.create(engine_name, value_size=1008, **engine_kwargs)
     workload = YCSBWorkload("A", nrecords, 1008, seed=3)
-    workload.load(stack.kv)
-    stack.device.stats.reset()
-    collector = TraceCollector(stack.device, stack.engine)
+    workload.load(ctx.kv)
+    ctx.device.stats.reset()
+    collector = TraceCollector(ctx.device, ctx.engine)
     collector.run_ops(
-        workload.run_ops(nops), lambda op: workload.execute(stack.kv, op)
+        workload.run_ops(nops), lambda op: workload.execute(ctx.kv, op)
     )
     return collector.records
 

@@ -8,7 +8,8 @@ schemes converge because the transaction time is dominated by copying
 immediate dependent re-update) and both hit the memory bandwidth limit.
 """
 
-from repro.bench import TraceCollector, build_stack, format_table, replay
+from repro.bench import TraceCollector, format_table, replay
+from repro.runtime import ExecutionContext
 from repro.workloads import WorstCaseWorkload, YCSBWorkload
 
 # payload sizes chosen so payload + 16B object header lands on a size
@@ -18,13 +19,13 @@ THREADS = [1, 4, 8]
 
 
 def run_case(engine, object_size, nobjects, nops):
-    stack = build_stack(engine, value_size=object_size, heap_mb=8)
+    ctx = ExecutionContext.create(engine, value_size=object_size, heap_mb=8)
     workload = WorstCaseWorkload(object_size=object_size, nobjects=nobjects)
-    workload.load(stack.kv)
-    stack.device.stats.reset()
-    collector = TraceCollector(stack.device, stack.engine)
+    workload.load(ctx.kv)
+    ctx.device.stats.reset()
+    collector = TraceCollector(ctx.device, ctx.engine)
     collector.run_ops(
-        workload.ops(nops), lambda op: YCSBWorkload.execute(stack.kv, op)
+        workload.ops(nops), lambda op: YCSBWorkload.execute(ctx.kv, op)
     )
     return collector.records
 

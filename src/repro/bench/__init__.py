@@ -7,8 +7,6 @@ from .runners import (
     DEFAULT_OPS,
     DEFAULT_RECORDS,
     DEFAULT_VALUE_SIZE,
-    Stack,
-    build_stack,
     run_tpcc_online,
     run_ycsb_matrix,
     run_ycsb_online,
@@ -23,11 +21,9 @@ __all__ = [
     "DEFAULT_RECORDS",
     "DEFAULT_VALUE_SIZE",
     "ReplayResult",
-    "Stack",
     "bar_chart",
     "TraceCollector",
     "TxRecord",
-    "build_stack",
     "format_table",
     "grouped_bar_chart",
     "normalized_ops_per_dollar",

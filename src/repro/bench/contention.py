@@ -110,7 +110,7 @@ def run_contended_cell(
     ``dependent_waits`` counter and the engine's lock table stay
     reachable after the run.
     """
-    stack, workload = _load_ycsb(
+    ctx, workload = _load_ycsb(
         engine_name,
         workload_name,
         nrecords,
@@ -123,19 +123,19 @@ def run_contended_cell(
     ops = list(workload.run_ops(nops))
     streams = [ops[i::nclients] for i in range(nclients)]
     source = _InlineSource(
-        stack.ctx,
+        ctx,
         streams,
-        lambda op: workload.execute(stack.kv, op),
+        lambda op: workload.execute(ctx.kv, op),
         lambda op: op.kind,
     )
     clients = VirtualClients(
         source,
         nclients,
-        stack.ctx.engine_name,
-        stack.ctx.model,
+        ctx.engine_name,
+        ctx.model,
         sync_lag_ns,
-        resources=stack.ctx.resources,
-        events=stack.ctx.events,
+        resources=ctx.resources,
+        events=ctx.events,
     )
     clients.run()
     latencies = clients.latencies
@@ -148,7 +148,7 @@ def run_contended_cell(
         mean_latency_ns=mean,
         max_latency_ns=max(latencies) if latencies else 0.0,
         dependent_waits=clients.dependent_waits,
-        lock_stats=_engine_lock_stats(stack.engine),
+        lock_stats=_engine_lock_stats(ctx.engine),
     )
 
 

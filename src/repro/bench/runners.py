@@ -2,9 +2,9 @@
 
 Builds the full execution context for a named engine, loads a workload,
 and runs its operation stream — the part every figure's benchmark has
-in common.  Every stack is an
+in common.  Every runner builds its stack as one
 :class:`~repro.runtime.context.ExecutionContext` (device + latency model
-+ clock + shared resource servers), so single-client tracing and
++ clock + shared resource servers) and uses it directly, so single-client tracing and
 multi-client online simulation use the same objects.  Scaled defaults
 keep each figure's regeneration in the tens of seconds while preserving
 the paper's ratios: record count shrinks from 10 M to a few thousand,
@@ -14,7 +14,6 @@ are the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..nvm.latency import NVDIMM, LatencyModel
@@ -30,59 +29,6 @@ DEFAULT_OPS = 4000
 DEFAULT_VALUE_SIZE = 1024
 
 
-@dataclass
-class Stack:
-    """One engine's full stack — a view over its execution context."""
-
-    ctx: ExecutionContext
-
-    @property
-    def device(self):
-        return self.ctx.device
-
-    @property
-    def heap(self):
-        return self.ctx.heap
-
-    @property
-    def kv(self):
-        return self.ctx.kv
-
-    @property
-    def engine(self):
-        return self.ctx.engine
-
-    @property
-    def engine_name(self) -> str:
-        return self.ctx.engine_name
-
-
-def build_stack(
-    engine_name: str,
-    value_size: int = DEFAULT_VALUE_SIZE,
-    heap_mb: int = 48,
-    model: LatencyModel = NVDIMM,
-    fanout: int = 32,
-    coalesce_flushes: bool = False,
-    **engine_kwargs,
-) -> Stack:
-    """Device + pool + heap + KV store for ``engine_name``.
-
-    The pool is sized for the worst-case engine footprint (full mirror +
-    logs), so every engine sees an identically sized heap.
-    """
-    ctx = ExecutionContext.create(
-        engine_name,
-        value_size=value_size,
-        heap_mb=heap_mb,
-        model=model,
-        fanout=fanout,
-        coalesce_flushes=coalesce_flushes,
-        **engine_kwargs,
-    )
-    return Stack(ctx=ctx)
-
-
 def _load_ycsb(
     engine_name: str,
     workload_name: str,
@@ -93,9 +39,9 @@ def _load_ycsb(
     coalesce_flushes: bool = False,
     heap_mb: int = 48,
     **engine_kwargs,
-) -> Tuple[Stack, YCSBWorkload]:
-    """Build a stack and load a YCSB table into it (accounting zeroed)."""
-    stack = build_stack(
+) -> Tuple[ExecutionContext, YCSBWorkload]:
+    """Build a context and load a YCSB table into it (accounting zeroed)."""
+    ctx = ExecutionContext.create(
         engine_name,
         value_size=value_size,
         heap_mb=heap_mb,
@@ -104,9 +50,9 @@ def _load_ycsb(
         **engine_kwargs,
     )
     workload = YCSBWorkload(workload_name, nrecords, value_size, seed=seed)
-    workload.load(stack.kv)
-    stack.ctx.reset()
-    return stack, workload
+    workload.load(ctx.kv)
+    ctx.reset()
+    return ctx, workload
 
 
 def trace_ycsb(
@@ -120,15 +66,15 @@ def trace_ycsb(
     **engine_kwargs,
 ) -> List[TxRecord]:
     """Load + trace one YCSB workload on one engine (single client)."""
-    stack, workload = _load_ycsb(
+    ctx, workload = _load_ycsb(
         engine_name, workload_name, nrecords, value_size, seed, model, **engine_kwargs
     )
-    stack.ctx.run_ops(
+    ctx.run_ops(
         workload.run_ops(nops),
-        lambda op: workload.execute(stack.kv, op),
+        lambda op: workload.execute(ctx.kv, op),
         charge=False,
     )
-    return stack.ctx.records
+    return ctx.records
 
 
 def run_ycsb_online(
@@ -151,7 +97,7 @@ def run_ycsb_online(
     reaches it, charging the context's shared bandwidth/log-management
     servers inline — no trace pass, exact dependent-transaction timing.
     """
-    stack, workload = _load_ycsb(
+    ctx, workload = _load_ycsb(
         engine_name,
         workload_name,
         nrecords,
@@ -164,9 +110,9 @@ def run_ycsb_online(
     )
     ops = list(workload.run_ops(nops))
     return run_online(
-        stack.ctx,
+        ctx,
         ops,
-        lambda op: workload.execute(stack.kv, op),
+        lambda op: workload.execute(ctx.kv, op),
         nthreads,
         workload=workload_name,
         sync_lag_ns=sync_lag_ns,
@@ -181,17 +127,18 @@ def trace_tpcc(
     **engine_kwargs,
 ) -> List[TxRecord]:
     """Load + trace the TPC-C-lite mix on one engine."""
-    stack = build_stack(engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs)
+    ctx = ExecutionContext.create(
+        engine_name, value_size=64, heap_mb=24, model=model, **engine_kwargs
+    )
     tpcc = TPCCLite(seed=seed)
-    tpcc.load(stack.kv)
-    stack.ctx.reset()
-    names = []
+    tpcc.load(ctx.kv)
+    ctx.reset()
 
     def one(_ignored) -> None:
-        names.append(tpcc.run_op(stack.kv))
+        tpcc.run_op(ctx.kv)
 
-    stack.ctx.run_ops(range(nops), one, kind_of=lambda _i: "tpcc", charge=False)
-    return stack.ctx.records
+    ctx.run_ops(range(nops), one, kind_of=lambda _i: "tpcc", charge=False)
+    return ctx.records
 
 
 def run_tpcc_online(
@@ -205,7 +152,7 @@ def run_tpcc_online(
     **engine_kwargs,
 ) -> ReplayResult:
     """Run the TPC-C-lite mix online under ``nthreads`` virtual clients."""
-    stack = build_stack(
+    ctx = ExecutionContext.create(
         engine_name,
         value_size=64,
         heap_mb=24,
@@ -214,14 +161,14 @@ def run_tpcc_online(
         **engine_kwargs,
     )
     tpcc = TPCCLite(seed=seed)
-    tpcc.load(stack.kv)
-    stack.ctx.reset()
+    tpcc.load(ctx.kv)
+    ctx.reset()
 
     def one(_ignored) -> None:
-        tpcc.run_op(stack.kv)
+        tpcc.run_op(ctx.kv)
 
     return run_online(
-        stack.ctx,
+        ctx,
         range(nops),
         one,
         nthreads,

@@ -12,7 +12,6 @@ Subcommands::
     python -m repro nemesis --media --seeds 3
     python -m repro cluster --groups 2 --shards 2 --quick
     python -m repro scrub  --flips 8 --dead 2
-    python -m repro bench  --quick --out BENCH.json --compare BENCH_PR2.json
     python -m repro contend --clients 1,2,4,8 --require-crossover 4
     python -m repro serve  --smoke
     python -m repro info   --engine kamino-dynamic --alpha 0.3
@@ -682,52 +681,6 @@ def cmd_scrub(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .bench import wallclock
-
-    names = _parse_list(args.names) if args.names else None
-    doc = wallclock.run_benchmarks(
-        names=names,
-        quick=args.quick,
-        workers=args.workers,
-        with_naive=not args.no_naive,
-        budget_s=args.budget,
-        repeats=args.repeats,
-        backend=args.backend or None,
-    )
-    backend = doc["metadata"]["backend"]
-    rows = []
-    for name, entry in sorted(doc["benchmarks"].items()):
-        rows.append([
-            name,
-            entry["wall_s"],
-            entry.get("naive_wall_s", "-"),
-            entry.get("speedup_vs_naive", "-"),
-            entry["txs"],
-        ])
-    print(format_table(
-        f"wall-clock benchmarks ({'quick' if args.quick else 'full'} sizes, "
-        f"{backend} backend)",
-        ["benchmark", "wall s", "naive s", "speedup", "txs"],
-        rows,
-    ))
-    if doc.get("skipped"):
-        print(f"skipped (budget exhausted): {', '.join(doc['skipped'])}")
-    if args.out:
-        wallclock.save(doc, args.out)
-        print(f"wrote {args.out}")
-    if args.compare:
-        problems = wallclock.regression_report(
-            doc, wallclock.load(args.compare), tolerance=args.tolerance
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.compare} (tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def cmd_contend(args) -> int:
     """The contended multi-client zipfian battery (see bench.contention)."""
     from .bench.contention import run_contention_sweep
@@ -1115,28 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NVM byte-store backend (default: auto-detect)")
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(fn=cmd_scrub)
-
-    p = sub.add_parser("bench", help="wall-clock perf suite (BENCH_*.json trajectory)")
-    p.add_argument("--quick", action="store_true", help="CI-sized runs")
-    p.add_argument("--names", default="", help="comma-separated benchmark subset")
-    p.add_argument("--out", default="", help="write the JSON document here")
-    p.add_argument("--compare", default="",
-                   help="baseline BENCH_*.json; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="allowed fractional speedup drop vs baseline")
-    p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget in seconds (serial mode)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="process-pool width; 0 = serial")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="best-of-N wall time per side (noise suppression)")
-    p.add_argument("--no-naive", action="store_true",
-                   help="skip the naive baseline (no speedups)")
-    p.add_argument("--backend", default="",
-                   choices=["", "auto", "pure", "numpy"],
-                   help="NVM byte-store backend for the optimized side "
-                   "(default: auto-detect; recorded in metadata)")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "contend",

@@ -247,34 +247,6 @@ class PersistentHeap:
         if not tx.has_intent(block):
             tx.add(block, size, IntentKind.WRITE)
 
-    def read_object_field(self, obj: PersistentStruct, info: FieldInfo) -> bytes:
-        """Load one field's bytes; takes a read lock inside a transaction.
-
-        This is the hottest call in the repo (every ``obj.field`` load
-        lands here), so ``current_tx``/``block_offset`` and the
-        ``read_bytes`` dispatch are inlined — same lock discipline, same
-        device traffic, fewer frames.
-        """
-        tx = getattr(self._tls, "tx", None)
-        if tx is not None and tx.state is TxState.ACTIVE:
-            block = obj._oid - OBJ_HEADER_SIZE
-            if block not in tx.read_set and block not in tx.write_set:
-                # tx is verified ACTIVE: engine.on_read directly (the
-                # note_read wrapper re-checks liveness and re-dispatches)
-                self._on_read(tx, block, self.allocator.block_size_of(block))
-        else:
-            tx = None
-        offset = obj._oid + info.offset
-        size = info.ftype.size
-        if self._translates:
-            dest = self.engine.translate_read(tx, offset, size)
-            if dest is not None:
-                region, off = dest
-                return region.read(off, size)
-        if offset + size <= self._heap_size:
-            return self._dev_read(self._heap_off + offset, size)
-        return self.region.read(offset, size)
-
     def write_object_field(self, obj: PersistentStruct, info: FieldInfo, data: bytes) -> None:
         """Store one field's bytes; requires a declared write intent."""
         tx = self._require_tx()

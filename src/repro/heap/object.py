@@ -47,9 +47,15 @@ class _FieldDescriptor:
     def __get__(self, obj: Optional["PersistentStruct"], owner=None):
         if obj is None:
             return self
-        # inlined PersistentHeap.read_object_field: same lock discipline
-        # and device traffic, minus the dispatch frames (see that method
-        # for the readable form — the two must stay behaviourally equal)
+        # lock discipline: inside an ACTIVE transaction the first load
+        # of an object that is in neither its read set nor its write set
+        # calls engine.on_read over the whole block (the locking engines
+        # take the object's shared lock and add it to the read set);
+        # later loads, and loads outside a transaction, take no lock.
+        # The bytes then come from the engine's read translation when it
+        # has one (copy-on-write shadows), else straight from the
+        # device.  Written out inline, with no helper call, because this
+        # is the hottest path in the repo.
         heap = obj._heap
         tx = getattr(heap._tls, "tx", None)
         if tx is not None and tx.state is TxState.ACTIVE:

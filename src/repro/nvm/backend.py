@@ -50,8 +50,8 @@ def available_backends() -> Tuple[str, ...]:
 
 def set_default_backend(name: Optional[str]) -> None:
     """Pin the process-wide default backend (``None`` restores
-    auto-detection).  The wall-clock harness uses this to measure the
-    same benchmark under both backends in one process."""
+    auto-detection).  The CLI's ``--backend`` flags use this to run one
+    subcommand under a chosen backend and restore the default after."""
     if name is not None:
         name = resolve_backend(name)
     global _default

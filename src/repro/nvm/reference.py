@@ -10,10 +10,11 @@ drive randomized operation / crash / recovery sequences through both
 devices and assert bit-identical durable bytes, crash-surviving state,
 and :class:`~repro.nvm.stats.NVMStats`.
 
-It is also the "naive" baseline the wall-clock benchmark harness
-(:mod:`repro.bench.wallclock`) measures speedups against, which keeps
-the committed ``BENCH_*.json`` trajectory honest: the denominator is a
-living, tested implementation, not a number from an old commit.
+It is also the device of the "naive" stack in
+``tests/runtime/test_stack_invariance.py``: whole online YCSB and TPC-C
+runs on the reference device with every lock taken must simulate
+exactly what the optimized stack (fast device, elided locks, coalesced
+sync) simulates.
 """
 
 from __future__ import annotations

@@ -135,7 +135,6 @@ class ExecutionContext:
         seed: int = 0,
         coalesce_flushes: bool = False,
         resources: Optional[SharedResources] = None,
-        device_cls: Optional[type] = None,
         backend: Optional[str] = None,
         lock_mode: str = "locked",
         **engine_kwargs,
@@ -145,25 +144,22 @@ class ExecutionContext:
         The pool is sized for the worst-case engine footprint (full
         mirror + logs), so every engine sees an identically sized heap.
 
-        ``device_cls`` pins an explicit device implementation (the
-        wall-clock harness passes :class:`~repro.nvm.reference.
-        ReferenceNVMDevice` for its naive baseline); otherwise
         ``backend`` (``"pure"`` / ``"numpy"`` / ``None`` for
-        auto-detect) selects one via :func:`repro.nvm.backend.
-        device_class`.  ``lock_mode="uncontended"`` elides the device
-        mutex for single-threaded drivers.  None of these change any
-        simulated result.
+        auto-detect) selects the device implementation via
+        :func:`repro.nvm.backend.device_class`; a caller that needs a
+        specific device class (the reference device, say) builds it and
+        wraps it with :meth:`attach`.  ``lock_mode="uncontended"``
+        elides the device mutex and the engine-side locks for
+        single-threaded drivers.  Neither changes any simulated result.
         """
         from ..heap import PersistentHeap
         from ..kvstore import KVStore
         from ..nvm.backend import device_class
         from ..nvm.pool import PmemPool
 
-        if device_cls is None:
-            device_cls = device_class(backend)
         heap_bytes = heap_mb << 20
         pool_bytes = heap_bytes * 2 + (32 << 20)
-        device = device_cls(
+        device = device_class(backend)(
             pool_bytes,
             model=model,
             seed=seed,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import TraceCollector, TxRecord, build_stack, replay, trace_ycsb
+from repro.bench import TraceCollector, TxRecord, replay, trace_ycsb
 from repro.bench.report import format_table, speedup_note
 from repro.bench.tco import CostModel, normalized_ops_per_dollar, provisioned_gb
 from repro.nvm.latency import NVDIMM

@@ -1,29 +1,34 @@
-"""Benchmark runner glue: stack building and the YCSB matrix."""
+"""Benchmark runner glue: the stack every runner builds and the YCSB matrix."""
 
 import pytest
 
-from repro.bench import build_stack, run_ycsb_matrix, trace_tpcc
+from repro.bench import run_ycsb_matrix, trace_tpcc
 from repro.nvm.latency import DRAM
+from repro.runtime import ExecutionContext
 
 
 class TestBuildStack:
+    """``ExecutionContext.create`` builds the full device-to-KV stack."""
+
     def test_stack_components_wired(self):
-        stack = build_stack("kamino-simple", value_size=256, heap_mb=4)
-        assert stack.engine is stack.heap.engine
-        assert stack.kv.heap is stack.heap
-        assert stack.engine_name == "kamino-simple"
+        ctx = ExecutionContext.create("kamino-simple", value_size=256, heap_mb=4)
+        assert ctx.engine is ctx.heap.engine
+        assert ctx.kv.heap is ctx.heap
+        assert ctx.engine_name == "kamino-simple"
 
     def test_engine_kwargs_forwarded(self):
-        stack = build_stack("kamino-dynamic", value_size=256, heap_mb=4, alpha=0.25)
-        assert stack.engine.name == "kamino-dynamic-25"
+        ctx = ExecutionContext.create(
+            "kamino-dynamic", value_size=256, heap_mb=4, alpha=0.25
+        )
+        assert ctx.engine.name == "kamino-dynamic-25"
 
     def test_latency_model_applied(self):
-        stack = build_stack("undo", value_size=256, heap_mb=4, model=DRAM)
-        assert stack.device.model is DRAM
+        ctx = ExecutionContext.create("undo", value_size=256, heap_mb=4, model=DRAM)
+        assert ctx.device.model is DRAM
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            build_stack("quantum")
+            ExecutionContext.create("quantum")
 
 
 class TestMatrix:

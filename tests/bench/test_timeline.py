@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.bench import build_stack
 from repro.bench.timeline import (
     TimelineRecorder,
     critical_path_ns,
     record_one_update,
     render_timeline,
 )
+from repro.runtime import ExecutionContext
 
 
 def recorded(engine_name):
-    stack = build_stack(engine_name, value_size=256, heap_mb=8)
-    stack.kv.put(1, b"\x01" * 200)
-    stack.engine.sync_pending()
-    return record_one_update(stack, 1, b"\x02" * 200)
+    ctx = ExecutionContext.create(engine_name, value_size=256, heap_mb=8)
+    ctx.kv.put(1, b"\x01" * 200)
+    ctx.engine.sync_pending()
+    return record_one_update(ctx, 1, b"\x02" * 200)
 
 
 class TestRecording:
@@ -42,10 +42,10 @@ class TestRecording:
         assert backup.start_ns >= rec.commit_ns
 
     def test_hook_removed_after_context(self):
-        stack = build_stack("undo", value_size=256, heap_mb=8)
-        with TimelineRecorder(stack.device, stack.engine):
+        ctx = ExecutionContext.create("undo", value_size=256, heap_mb=8)
+        with TimelineRecorder(ctx.device, ctx.engine):
             pass
-        assert stack.engine.phase_hook is None
+        assert ctx.engine.phase_hook is None
 
     def test_critical_path_helper(self):
         rec = recorded("kamino-simple")
@@ -72,6 +72,6 @@ class TestRendering:
         assert tight.count("#") > loose.count("#")
 
     def test_empty_recorder(self):
-        stack = build_stack("undo", value_size=256, heap_mb=8)
-        rec = TimelineRecorder(stack.device, stack.engine)
+        ctx = ExecutionContext.create("undo", value_size=256, heap_mb=8)
+        rec = TimelineRecorder(ctx.device, ctx.engine)
         assert "(no phases recorded)" in render_timeline("x", rec)

@@ -87,31 +87,6 @@ class TestCommands:
         assert rc == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_bench_quick_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        rc = main([
-            "bench", "--quick", "--names", "fig12_hot_loop",
-            "--out", str(out_path),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "fig12_hot_loop" in out
-        assert out_path.exists()
-
-    def test_bench_compare_regression_fails(self, capsys, tmp_path):
-        import json
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({
-            "benchmarks": {"fig12_hot_loop": {"speedup_vs_naive": 10_000.0}}
-        }))
-        rc = main([
-            "bench", "--quick", "--names", "fig12_hot_loop",
-            "--compare", str(baseline),
-        ])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
 
 class TestScrub:
     def test_scrub_quick_repairs_everything(self, capsys):
